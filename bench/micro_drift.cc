@@ -109,8 +109,6 @@ void ServePairs(serve::MatchService* service,
 
 std::shared_ptr<const matchers::TrainedModel> TrainShared(
     const matchers::MatchingContext& context, const std::string& name) {
-  context.left().Thaw();
-  context.right().Thaw();
   auto trained = matchers::TrainServableMatcher(name, context);
   RLBENCH_CHECK_MSG(trained.ok(), "training failed");
   return std::shared_ptr<const matchers::TrainedModel>(std::move(*trained));

@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   int repeats = static_cast<int>(flags.GetInt("repeats", 3));
   std::string dataset = flags.GetString("dataset", "Ds1");
 
-  // Metrics are always on here: the scaling report doubles as the smoke
-  // test for the feature-cache counters.
+  // Metrics are always on here, so the run manifest carries the parallel
+  // and columnar-store counters of the sweep.
   obs::Metrics::SetEnabled(true);
   benchutil::BenchRun run("micro_parallel");
   run.manifest().AddDataset(dataset);
@@ -130,23 +130,6 @@ int main(int argc, char** argv) {
   run.manifest().EndPhase();
   SetParallelThreads(0);
 
-  // Satellite report: how well the two-phase RecordFeatureCache served the
-  // run. Warmed counts come from the bulk fills, hits/misses from the
-  // accessors on the hot paths.
-  obs::Metrics& metrics = obs::Metrics::Instance();
-  auto hits = metrics.GetCounter("feature_cache/hits").Value();
-  auto misses = metrics.GetCounter("feature_cache/misses").Value();
-  auto token_warm = metrics.GetCounter("feature_cache/warmed_token_records").Value();
-  auto qgram_warm = metrics.GetCounter("feature_cache/warmed_qgram_records").Value();
-  double entries = metrics.GetGauge("feature_cache/entries").Value();
-  std::printf(
-      "feature cache: %llu hits, %llu misses, %.0f entries "
-      "(%llu token / %llu qgram records warmed)\n",
-      static_cast<unsigned long long>(hits),
-      static_cast<unsigned long long>(misses), entries,
-      static_cast<unsigned long long>(token_warm),
-      static_cast<unsigned long long>(qgram_warm));
-
   std::string path = benchutil::ResultsDir() + "/BENCH_parallel.json";
   char buf[256];
   std::string json = "{\n";
@@ -158,15 +141,6 @@ int main(int argc, char** argv) {
                 "  \"hardware_concurrency\": %zu,\n",
                 scale, sample, points.size(),
                 static_cast<size_t>(std::thread::hardware_concurrency()));
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"feature_cache\": {\"hits\": %llu, \"misses\": %llu, "
-                "\"entries\": %.0f, \"token_records_warmed\": %llu, "
-                "\"qgram_records_warmed\": %llu},\n",
-                static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses), entries,
-                static_cast<unsigned long long>(token_warm),
-                static_cast<unsigned long long>(qgram_warm));
   json += buf;
   json += "  \"workloads\": [\n";
   json += WorkloadJson("complexity_measures", complexity_seconds, false);

@@ -196,14 +196,8 @@ int main(int argc, char** argv) {
     storm_options.shed_enabled = true;
     storm_options.shed.dwell = 1;
     serve::MatchService storm_service(&context, storm_options);
-    // The phase-1 service froze the context caches; training new model
-    // families needs the warm phase back. Install paths re-freeze.
-    context.left().Thaw();
-    context.right().Thaw();
     auto fallback = matchers::TrainServableMatcher(fallback_name, context);
     RLBENCH_CHECK_MSG(fallback.ok(), "fallback training failed");
-    context.left().Thaw();
-    context.right().Thaw();
     auto candidate = matchers::TrainServableMatcher(shadow_name, context);
     RLBENCH_CHECK_MSG(candidate.ok(), "shadow candidate training failed");
     RLBENCH_CHECK(storm_service.SwapModel(primary).ok());

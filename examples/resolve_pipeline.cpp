@@ -29,8 +29,6 @@ namespace {
 uint64_t TrainAndPublish(serve::ModelRepository& repository,
                          const matchers::MatchingContext& context,
                          const std::string& name) {
-  context.left().Thaw();
-  context.right().Thaw();
   auto trained = matchers::TrainServableMatcher(name, context);
   if (!trained.ok()) {
     std::fprintf(stderr, "training %s failed: %s\n", name.c_str(),
@@ -118,7 +116,7 @@ int main(int argc, char** argv) {
               rf_assess->confusion.Recall());
 
   // 3. Hot-swap to the ESDE rules — no service rebuild, queued work is
-  //    never dropped, and the caches re-warm for the new feature family.
+  //    never dropped, and the q-gram pools are built for the new family.
   Install(service, repository, "SAQ-ESDE");
   std::printf("\nhot-swapped to SAQ-ESDE: pair (%u, %u) -> score %.6f\n",
               probe.left, probe.right, ScoreOne(service, probe));

@@ -14,7 +14,6 @@
 #include "matchers/esde.h"
 #include "matchers/magellan.h"
 #include "matchers/zeroer.h"
-#include "ml/gbdt.h"
 
 using namespace rlbench;
 
@@ -64,19 +63,6 @@ int main(int argc, char** argv) {
     run(&rf, "per-attribute similarity features");
     matchers::ZeroErMatcher zeroer;
     run(&zeroer, "unsupervised Gaussian mixture EM");
-
-    // Library extension beyond the paper's line-up: gradient boosting on
-    // the same Magellan features.
-    Stopwatch watch;
-    ml::GradientBoostedTrees gbdt;
-    gbdt.Fit(context.MagellanTrain(), context.MagellanValid());
-    auto predictions = gbdt.PredictAll(context.MagellanTest());
-    std::vector<uint8_t> truth;
-    for (const auto& pair : task.test()) truth.push_back(pair.is_match);
-    std::printf("  %-22s F1=%.4f  (%5.1f s)  %s\n", "Magellan-GBDT",
-                ml::Evaluate(truth, predictions).F1(),
-                watch.ElapsedSeconds(),
-                "gradient-boosted trees (library extension)");
   }
 
   std::printf("\nLinear baselines (ESDE):\n");

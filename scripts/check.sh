@@ -13,8 +13,8 @@
 #      difficulty shift must be detected, the EnsembleLink candidate
 #      retrained, snapshot round-tripped, shadow-promoted, and a faulted
 #      shadow window rolled back; the drift_* manifest keys validated
-#   5. TSan build + the concurrency-bearing tests (parallel pool, frozen
-#      feature cache, thread-count invariance, metrics shards)
+#   5. TSan build + the concurrency-bearing tests (parallel pool, columnar
+#      store reads, thread-count invariance, metrics shards)
 #   6. observability end-to-end: one bench with RLBENCH_METRICS +
 #      RLBENCH_TRACE, manifest + trace validated by
 #      tools/validate_manifest.py
@@ -186,7 +186,7 @@ cmake -B "${TSAN_DIR}" -S "${REPO_ROOT}" \
   -DRLBENCH_WERROR=ON
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target \
   common_test data_test core_test obs_test
-# Only the tests that exercise the pool and the frozen-cache read phase;
+# Only the tests that exercise the pool and the columnar store's reads;
 # the full suite already ran under ASan/UBSan above. TSan halts on the
 # first race, so a pass here is a proof of race-freedom for these paths.
 (
@@ -194,7 +194,7 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" --target \
   TSAN_OPTIONS="halt_on_error=1" ./tests/common_test \
     --gtest_filter='Parallel*:SplitSeed*'
   TSAN_OPTIONS="halt_on_error=1" ./tests/data_test \
-    --gtest_filter='FeatureCacheTest.*'
+    --gtest_filter='ColumnarStoreTest.*'
   TSAN_OPTIONS="halt_on_error=1" ./tests/core_test \
     --gtest_filter='ThreadInvarianceTest.*'
   # The lock-free metric shards and per-thread trace buffers under real

@@ -18,7 +18,6 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "data/columnar.h"
-#include "data/feature_cache.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "obs/resource.h"
@@ -337,11 +336,7 @@ void ScorePairs(const datagen::BulkSourceGenerator& source,
     }
   }
 
-  data::RecordFeatureCache left_cache(&tables[0]);
-  data::RecordFeatureCache right_cache(&tables[1]);
-  data::ColumnarStore store(left_cache, right_cache);
-  left_cache.Freeze();
-  right_cache.Freeze();
+  data::ColumnarStore store(tables[0], tables[1]);
 
   size_t n = pairs.size();
   std::vector<text::kernels::U32SetPair> set_pairs(n);

@@ -3,8 +3,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <new>
 #include <string>
 #include <thread>
+
+#include <pthread.h>
 
 #include "common/check.h"
 #include "common/thread_annotations.h"
@@ -84,10 +87,10 @@ class ThreadPool {
     bool have_workers;
     {
       MutexLock lock(&config_mutex_);
-      if (workers_.empty() && configured_threads_ == 0) {
-        configured_threads_ = EnvThreadCount();
-        StartWorkersLocked();
-      }
+      if (configured_threads_ == 0) configured_threads_ = EnvThreadCount();
+      // Workers start on first use, and start again in a forked child,
+      // which inherits none of them.
+      if (workers_.empty() && configured_threads_ > 1) StartWorkersLocked();
       have_workers = !workers_.empty();
     }
     if (!have_workers || num_chunks == 1) {
@@ -142,7 +145,48 @@ class ThreadPool {
     std::exception_ptr error;  // first failure only (job_mutex_)
   };
 
-  ThreadPool() = default;
+  ThreadPool() {
+    // fork() copies only the calling thread. The prepare handler holds
+    // every pool lock across the fork, so no worker is mid-update of the
+    // pool state the child inherits (a fork therefore waits for a running
+    // parallel region to end, and must not be called from inside one).
+    pthread_atfork(&ThreadPool::BeforeFork, &ThreadPool::AfterForkParent,
+                   &ThreadPool::AfterForkChild);
+  }
+
+  static void BeforeFork() { Instance().LockAll(); }
+  static void AfterForkParent() { Instance().UnlockAll(); }
+  static void AfterForkChild() { Instance().ResetInChild(); }
+
+  void LockAll() RLBENCH_ACQUIRE(jobs_mutex_, config_mutex_, job_mutex_) {
+    jobs_mutex_.Lock();
+    config_mutex_.Lock();
+    job_mutex_.Lock();
+  }
+
+  void UnlockAll() RLBENCH_RELEASE(jobs_mutex_, config_mutex_, job_mutex_) {
+    job_mutex_.Unlock();
+    config_mutex_.Unlock();
+    jobs_mutex_.Unlock();
+  }
+
+  // The child has one thread, so nothing can race with this. Its worker
+  // handles name threads that do not exist there: they are dropped without
+  // a join (a leaked copy, never destroyed), and Run() relaunches workers
+  // lazily. The locks and condition variables are built afresh, not
+  // unlocked: a condition variable may still count the parent's sleeping
+  // workers as waiters, and a notify would then wait on them forever.
+  void ResetInChild() RLBENCH_NO_THREAD_SAFETY_ANALYSIS {
+    new std::vector<std::thread>(std::move(workers_));
+    workers_.clear();
+    new (&jobs_mutex_) Mutex();
+    new (&config_mutex_) Mutex();
+    new (&job_mutex_) Mutex();
+    new (&job_cv_) CondVar();
+    new (&done_cv_) CondVar();
+    job_ = nullptr;
+    stop_ = false;
+  }
 
   void StartWorkersLocked() RLBENCH_REQUIRES(config_mutex_)
       RLBENCH_EXCLUDES(job_mutex_) {

@@ -5,7 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ml/metrics.h"
-#include "text/similarity.h"
+#include "text/kernels.h"
 
 namespace rlbench::core {
 
@@ -13,6 +13,9 @@ namespace {
 // A token-set similarity costs a few hundred ns; chunks of pairs this size
 // amortise pool dispatch while leaving enough chunks to balance.
 constexpr size_t kPairGrain = 512;
+
+constexpr size_t kL = data::ColumnarStore::kLeft;
+constexpr size_t kR = data::ColumnarStore::kRight;
 }  // namespace
 
 std::vector<FeaturePoint> PairFeaturePoints(
@@ -21,20 +24,17 @@ std::vector<FeaturePoint> PairFeaturePoints(
   auto all = context.task().AllPairs();
   RLBENCH_COUNTER_ADD("linearity/pairs_scored", all.size());
   std::vector<FeaturePoint> points(all.size());
-  // The MatchingContext constructor warmed every token slot, so the caches
-  // freeze for the duration of the concurrent scoring pass.
-  context.left().Freeze();
-  context.right().Freeze();
+  const data::ColumnarStore& store = context.columnar();
   ParallelFor(0, all.size(), kPairGrain, [&](size_t i) {
-    const auto& a = context.left().TokenSetAll(all[i].left);
-    const auto& b = context.right().TokenSetAll(all[i].right);
-    points[i] = {text::CosineSimilarity(a, b), text::JaccardSimilarity(a, b),
+    auto a = store.TokenIdsAll(kL, all[i].left);
+    auto b = store.TokenIdsAll(kR, all[i].right);
+    size_t inter = text::kernels::IntersectSortedU32(a, b);
+    points[i] = {text::kernels::CosineFromCounts(inter, a.size(), b.size()),
+                 text::kernels::JaccardFromCounts(inter, a.size(), b.size()),
                  all[i].is_match};
     RLBENCH_DCHECK_PROB(points[i].cs);
     RLBENCH_DCHECK_PROB(points[i].js);
   });
-  context.left().Thaw();
-  context.right().Thaw();
   return points;
 }
 
@@ -51,22 +51,22 @@ std::vector<LinearityResult> ComputeLinearityPerAttribute(
   results.reserve(num_attrs);
   std::vector<double> cosine(all.size());
   std::vector<double> jaccard(all.size());
-  context.left().Freeze();
-  context.right().Freeze();
+  const data::ColumnarStore& store = context.columnar();
   for (size_t a = 0; a < num_attrs; ++a) {
     ParallelFor(0, all.size(), kPairGrain, [&](size_t i) {
-      const auto& left = context.left().TokenSetAttr(all[i].left, a);
-      const auto& right = context.right().TokenSetAttr(all[i].right, a);
-      cosine[i] = text::CosineSimilarity(left, right);
-      jaccard[i] = text::JaccardSimilarity(left, right);
+      auto left = store.TokenIdsAttr(kL, all[i].left, a);
+      auto right = store.TokenIdsAttr(kR, all[i].right, a);
+      size_t inter = text::kernels::IntersectSortedU32(left, right);
+      cosine[i] =
+          text::kernels::CosineFromCounts(inter, left.size(), right.size());
+      jaccard[i] =
+          text::kernels::JaccardFromCounts(inter, left.size(), right.size());
     });
     auto cs = ml::SweepThresholds(cosine, labels);
     auto js = ml::SweepThresholds(jaccard, labels);
     results.push_back(
         {cs.best_f1, cs.best_threshold, js.best_f1, js.best_threshold});
   }
-  context.left().Thaw();
-  context.right().Thaw();
   return results;
 }
 

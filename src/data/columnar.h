@@ -1,33 +1,33 @@
-// Structure-of-arrays columnar view over one matching task's two tables
-// (ISSUE 7 tentpole). The row-oriented model (Table of Records holding
-// std::string values, RecordFeatureCache holding per-record TokenSets)
-// stays the source of truth and the cold-path API; this store lays the same
-// derived features out contiguously so the batch extraction loops run the
-// vectorized kernels in text/kernels.h without per-pair allocation or
-// pointer chasing:
+// Structure-of-arrays store of every per-record text feature over one
+// matching task's two tables. It is the only per-record feature store:
+// each attribute value is tokenized once, here, and every matcher, measure
+// and blocker reads the columns below.
 //
 //   * Token ids — every distinct token hash across BOTH tables is interned
 //     as its rank in the globally sorted unique hash vocabulary. The
 //     mapping hash -> id is therefore a monotone bijection: a record's
 //     sorted unique hash set maps to a sorted unique uint32 id array with
 //     identical pairwise intersection counts, so set similarities over id
-//     spans are bit-identical to the TokenSet scalar path at half the
+//     spans are bit-identical to the text::TokenSet scalar path at half the
 //     memory bandwidth. Rank interning also makes ids independent of
 //     record insertion order by construction.
 //   * Per-record id arrays (schema-agnostic and per-attribute) live in two
 //     contiguous pools addressed by offset indexes.
-//   * Ordered token sequences (for Monge-Elkan) are string_views into one
-//     packed character arena per side.
-//   * Per-value derivations that the row path recomputes per PAIR are
+//   * Ordered token sequences (for Monge-Elkan, TF-IDF and the DL
+//     simulators) are string_views into the lower-cased value arena: a
+//     token of text::Tokenize is a lower-cased run of ASCII alphanumerics,
+//     i.e. a substring of the lower-cased value.
+//   * Per-value derivations that a row path would recompute per PAIR are
 //     hoisted to once per RECORD: lower-cased values (exact match),
 //     strtod parses (numeric similarity).
 //   * Q-gram sets (lazy, EnsureQGrams) keep their raw salted uint64 hashes
 //     in contiguous sorted pools — q-grams have no shared vocabulary worth
 //     building.
 //
-// Build is deterministic at any thread count: a serial sizing pass pins
-// every offset, then a ParallelFor fills disjoint slices (the
-// common/parallel.h contract). Differential coverage lives in
+// Build is deterministic at any thread count: each column is filled by a
+// ParallelFor over records into slots pinned by a serial sizing pass (the
+// common/parallel.h contract). Differential coverage against the row
+// reference in tests/support/row_oracle.h lives in
 // tests/data/columnar_test.cc and tests/text/kernels_differential_test.cc.
 #ifndef RLBENCH_SRC_DATA_COLUMNAR_H_
 #define RLBENCH_SRC_DATA_COLUMNAR_H_
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "data/feature_cache.h"
+#include "data/record.h"
 
 namespace rlbench::data {
 
@@ -76,22 +76,27 @@ class PackedMatrix {
 
 /// \brief Columnar token / q-gram / value columns over (left, right).
 ///
-/// Threading contract mirrors RecordFeatureCache: construction and
-/// EnsureQGrams() are warm-phase operations (single caller, internally
-/// parallel); afterwards any number of threads may call the accessors
-/// concurrently — all reads, no mutation.
+/// Threading contract: construction and EnsureQGrams() each run on one
+/// caller (internally parallel); between them and afterwards any number of
+/// threads may call the accessors concurrently — all reads, no mutation.
 class ColumnarStore {
  public:
   static constexpr size_t kLeft = 0;
   static constexpr size_t kRight = 1;
-  static constexpr int kMinQ = RecordFeatureCache::kMinQ;
-  static constexpr int kMaxQ = RecordFeatureCache::kMaxQ;
+  static constexpr int kMinQ = 2;
+  static constexpr int kMaxQ = 10;
+  static constexpr int kNumQ = kMaxQ - kMinQ + 1;
 
-  /// Builds the token columns (warms the caches' token slots first if the
-  /// caller has not). Both caches must outlive the store (EnsureQGrams
-  /// reads them again).
-  ColumnarStore(const RecordFeatureCache& left,
-                const RecordFeatureCache& right);
+  /// Characters of text considered when building q-gram sets; bounds the
+  /// pool size on long-text datasets (q-gram sets grow linearly in text
+  /// length and are kept for nine values of q). Snapshots of q-gram models
+  /// record it.
+  static constexpr size_t kQGramCharCap = 160;
+
+  /// Tokenizes both tables and builds the token and value columns. The
+  /// tables must outlive the store (Value() views and EnsureQGrams read
+  /// them).
+  ColumnarStore(const Table& left, const Table& right);
 
   size_t num_attrs() const { return num_attrs_; }
   size_t num_records(size_t side) const;
@@ -104,9 +109,16 @@ class ColumnarStore {
   std::span<const uint32_t> TokenIdsAttr(size_t side, size_t record,
                                          size_t attr) const;
 
-  /// Ordered token sequence of one attribute (views into the token arena).
+  /// Ordered token sequence of one attribute (views into the lower-cased
+  /// value arena); equals text::Tokenize of the value.
   std::span<const std::string_view> TokenSeqAttr(size_t side, size_t record,
                                                  size_t attr) const;
+
+  /// Ordered tokens of all attribute values, in attribute order: the
+  /// contiguous span over the record's attribute slots; equals
+  /// text::TokenizeAll of the record's values.
+  std::span<const std::string_view> TokenSeqAll(size_t side,
+                                                size_t record) const;
 
   /// Raw attribute value (view into the backing Table).
   std::string_view Value(size_t side, size_t record, size_t attr) const;
@@ -119,16 +131,17 @@ class ColumnarStore {
   bool NumericOk(size_t side, size_t record, size_t attr) const;
   double NumericValue(size_t side, size_t record, size_t attr) const;
 
-  /// Build the q-gram pools (warms the caches' q-gram slots first if
-  /// needed). Idempotent; warm-phase only.
+  /// Build the q-gram pools straight from the values. Idempotent; must not
+  /// run concurrently with readers of the pools.
   void EnsureQGrams() const;
   bool qgrams_built() const { return qgrams_built_; }
 
   /// Sorted unique q-gram hashes over the concatenated record text,
-  /// q in [kMinQ, kMaxQ]. EnsureQGrams() must have run.
+  /// capped at kQGramCharCap characters, q in [kMinQ, kMaxQ].
+  /// EnsureQGrams() must have run.
   std::span<const uint64_t> QGramAll(size_t side, size_t record, int q) const;
 
-  /// Sorted unique q-gram hashes of one attribute value.
+  /// Sorted unique q-gram hashes of one attribute value (capped likewise).
   std::span<const uint64_t> QGramAttr(size_t side, size_t record, size_t attr,
                                       int q) const;
 
@@ -137,8 +150,6 @@ class ColumnarStore {
   uint32_t IdOfHash(uint64_t hash) const;
 
  private:
-  static constexpr int kNumQ = kMaxQ - kMinQ + 1;
-
   struct SideColumns {
     size_t records = 0;
     // Schema-agnostic token ids: [ids_all_off[r], ids_all_off[r+1]).
@@ -147,8 +158,7 @@ class ColumnarStore {
     // Per-attribute token ids, slot r * num_attrs + a.
     std::vector<uint32_t> ids_attr;
     std::vector<size_t> ids_attr_off;
-    // Ordered per-attribute token views into `token_chars`.
-    std::vector<char> token_chars;
+    // Ordered per-attribute token views into `lowered_chars`.
     std::vector<std::string_view> token_views;
     std::vector<size_t> token_seq_off;
     // Per-value columns, slot r * num_attrs + a.
@@ -166,13 +176,19 @@ class ColumnarStore {
     std::vector<size_t> qgram_attr_off;
   };
 
-  void BuildVocab();
-  void BuildTokenColumns(size_t side);
+  // Sorted unique token hashes of each record of one side, laid out per
+  // record as [attr 0 set | ... | attr n-1 set | all-attributes set]; the
+  // sizing offsets in SideColumns address them. Build-time only.
+  using RecordHashes = std::vector<std::vector<uint64_t>>;
+
+  void TokenizeSide(size_t side, RecordHashes* hashes);
+  void BuildVocab(const std::array<RecordHashes, 2>& hashes);
+  void FillTokenColumns(size_t side, RecordHashes* hashes);
   void BuildQGramColumns(size_t side) const;
 
   const SideColumns& columns(size_t side) const;
 
-  std::array<const RecordFeatureCache*, 2> caches_;
+  std::array<const Table*, 2> tables_;
   size_t num_attrs_ = 0;
   std::vector<uint64_t> vocab_;
   mutable std::array<SideColumns, 2> sides_;
@@ -219,6 +235,15 @@ inline std::span<const std::string_view> ColumnarStore::TokenSeqAttr(
   size_t slot = record * num_attrs_ + attr;
   return {c.token_views.data() + c.token_seq_off[slot],
           c.token_seq_off[slot + 1] - c.token_seq_off[slot]};
+}
+
+inline std::span<const std::string_view> ColumnarStore::TokenSeqAll(
+    size_t side, size_t record) const {
+  const SideColumns& c = columns(side);
+  RLBENCH_DCHECK_INDEX(record, c.records);
+  size_t first = c.token_seq_off[record * num_attrs_];
+  return {c.token_views.data() + first,
+          c.token_seq_off[(record + 1) * num_attrs_] - first};
 }
 
 inline std::string_view ColumnarStore::Value(size_t side, size_t record,

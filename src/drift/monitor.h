@@ -62,8 +62,8 @@ struct WindowMeasures {
 /// Recompute the measures over `window`. [CS, JS] come from the columnar
 /// token-id spans (always built by the MatchingContext constructor).
 /// `zero_shot_arm`, when given, is scored over the window as an extra
-/// lineup row; the context must already be prepared for it (serving keeps
-/// its caches frozen, which satisfies every arm).
+/// lineup row; the context must already be prepared for it
+/// (TrainedModel::PrepareContext).
 WindowMeasures ComputeWindowMeasures(
     const matchers::MatchingContext& context,
     std::span<const ScoredSample> window, const MonitorOptions& options = {},

@@ -1,6 +1,6 @@
 #include "matchers/context.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "matchers/features.h"
@@ -10,27 +10,21 @@
 namespace rlbench::matchers {
 
 MatchingContext::MatchingContext(const data::MatchingTask* task)
-    : task_(task), left_(&task->left()), right_(&task->right()) {
-  RLBENCH_TRACE_SPAN("context/build");
-  // Tokenisation dominates construction; warm it in parallel (disjoint
-  // per-record slots), then feed the corpus model serially so document
-  // order — and the resulting IDF table — stays exactly as before.
-  {
-    RLBENCH_TRACE_SPAN("context/warm_tokens");
-    left_.WarmTokens();
-    right_.WarmTokens();
-  }
-  // Token columns are shared by every batch extractor below; q-gram pools
-  // are built on demand (EnsureQGrams) by the variants that need them.
-  columnar_.emplace(left_, right_);
+    : task_(task), columnar_(task->left(), task->right()) {}
+
+const text::TfIdfModel& MatchingContext::tfidf() const {
+  if (tfidf_) return *tfidf_;
   RLBENCH_TRACE_SPAN("context/tfidf");
-  for (size_t i = 0; i < task->left().size(); ++i) {
-    tfidf_.AddDocument(left_.Tokens(i));
+  text::TfIdfModel model;
+  for (size_t side :
+       {data::ColumnarStore::kLeft, data::ColumnarStore::kRight}) {
+    for (size_t r = 0; r < columnar_.num_records(side); ++r) {
+      model.AddDocument(columnar_.TokenSeqAll(side, r));
+    }
   }
-  for (size_t i = 0; i < task->right().size(); ++i) {
-    tfidf_.AddDocument(right_.Tokens(i));
-  }
-  tfidf_.Finalize();
+  model.Finalize();
+  tfidf_.emplace(std::move(model));
+  return *tfidf_;
 }
 
 void MatchingContext::EnsureMagellan() const {
@@ -38,20 +32,14 @@ void MatchingContext::EnsureMagellan() const {
   RLBENCH_TRACE_SPAN("context/magellan_features");
   size_t dim = task_->left().schema().num_attributes() *
                kMagellanFeaturesPerAttr;
-  // Two-phase cache contract: the constructor warmed every token-derived
-  // slot MagellanFeatures reads, so the caches can be frozen and read
-  // concurrently while rows are extracted in parallel.
-  left_.Freeze();
-  right_.Freeze();
   auto build = [&](const std::vector<data::LabeledPair>& pairs) {
     // dim > 0 is an invariant here: every task reaching a matcher went
     // through schema validation (>= 1 attribute) at build or import time.
-    // Rows are extracted through the columnar kernels (bit-identical to
-    // the row-oriented MagellanFeatures — the differential tests pin it)
-    // straight into the dataset row, with no per-pair allocation.
+    // Rows are extracted through the columnar kernels straight into the
+    // dataset row, with no per-pair allocation.
     auto dataset = ml::Dataset::BuildParallel(
         dim, pairs.size(), [&](size_t i, std::span<float> row) {
-          MagellanFeaturesColumnar(*columnar_, pairs[i], row);
+          MagellanFeaturesColumnar(columnar_, pairs[i], row);
           return pairs[i].is_match;
         });
     RLBENCH_CHECK(dataset.ok());
@@ -63,10 +51,6 @@ void MatchingContext::EnsureMagellan() const {
   RLBENCH_COUNTER_ADD("matchers/magellan/feature_rows",
                       task_->train().size() + task_->valid().size() +
                           task_->test().size());
-  // Later consumers (the q-gram ESDE variants) still fill q-gram slots
-  // lazily from serial code, so return the caches to the warm-up phase.
-  left_.Thaw();
-  right_.Thaw();
 }
 
 const ml::Dataset& MatchingContext::MagellanTrain() const {

@@ -1,15 +1,13 @@
-// Shared per-task state for matchers: feature caches over both tables, a
-// corpus TF-IDF model, and the lazily built Magellan feature datasets that
-// several matchers reuse. Building this once per task and passing it to
-// every matcher is what keeps a full Table IV run affordable.
+// Shared per-task state for matchers: the columnar feature store over both
+// tables, a corpus TF-IDF model, and the lazily built Magellan feature
+// datasets that several matchers reuse. Building this once per task and
+// passing it to every matcher is what keeps a full Table IV run affordable.
 #ifndef RLBENCH_SRC_MATCHERS_CONTEXT_H_
 #define RLBENCH_SRC_MATCHERS_CONTEXT_H_
 
-#include <memory>
 #include <optional>
 
 #include "data/columnar.h"
-#include "data/feature_cache.h"
 #include "data/task.h"
 #include "ml/dataset.h"
 #include "text/tfidf.h"
@@ -17,19 +15,23 @@
 namespace rlbench::matchers {
 
 /// \brief Read-only context shared by all matchers evaluating one task.
+///
+/// The lazily built members (TF-IDF, Magellan datasets, q-gram pools) are
+/// filled by the first caller; their first use must not race with other
+/// readers of the same context.
 class MatchingContext {
  public:
   explicit MatchingContext(const data::MatchingTask* task);
 
   const data::MatchingTask& task() const { return *task_; }
-  const data::RecordFeatureCache& left() const { return left_; }
-  const data::RecordFeatureCache& right() const { return right_; }
-  const text::TfIdfModel& tfidf() const { return tfidf_; }
 
-  /// Columnar view over both tables (token columns built with the context;
-  /// q-gram pools on demand via columnar().EnsureQGrams()). Batch feature
-  /// extraction reads this; the row caches above stay the cold-path API.
-  const data::ColumnarStore& columnar() const { return *columnar_; }
+  /// Corpus TF-IDF over every record's tokens, left table first, built on
+  /// first use (only the DL simulators read it).
+  const text::TfIdfModel& tfidf() const;
+
+  /// Columnar store over both tables (token and value columns built with
+  /// the context; q-gram pools on demand via columnar().EnsureQGrams()).
+  const data::ColumnarStore& columnar() const { return columnar_; }
 
   /// Magellan feature datasets for train / valid / test, built on first use
   /// and cached (shared by the four Magellan variants and ZeroER).
@@ -41,10 +43,8 @@ class MatchingContext {
   void EnsureMagellan() const;
 
   const data::MatchingTask* task_;
-  data::RecordFeatureCache left_;
-  data::RecordFeatureCache right_;
-  std::optional<data::ColumnarStore> columnar_;
-  text::TfIdfModel tfidf_;
+  data::ColumnarStore columnar_;
+  mutable std::optional<text::TfIdfModel> tfidf_;
   mutable std::optional<ml::Dataset> magellan_train_;
   mutable std::optional<ml::Dataset> magellan_valid_;
   mutable std::optional<ml::Dataset> magellan_test_;

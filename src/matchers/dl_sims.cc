@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "common/rng.h"
 
@@ -29,6 +30,10 @@ namespace {
 // Per-column alignment feature slots for the transformer family (the
 // widest catalog schema has 8 attributes).
 constexpr size_t kMaxColumnFeatures = 8;
+
+size_t Side(bool left_side) {
+  return left_side ? data::ColumnarStore::kLeft : data::ColumnarStore::kRight;
+}
 }  // namespace
 
 DlMatcher::DlMatcher(DlMethod method, int epochs, DlOptions options)
@@ -44,29 +49,30 @@ std::string DlMatcher::name() const {
 
 std::vector<std::string> DlMatcher::SequenceTokens(
     const MatchingContext& context, bool left_side, uint32_t record) const {
-  const auto& cache = left_side ? context.left() : context.right();
-  const auto& tokens = cache.Tokens(record);
+  auto seq = context.columnar().TokenSeqAll(Side(left_side), record);
   if (method_ == DlMethod::kDitto) {
     // DITTO summarises long inputs by TF-IDF weight instead of truncating.
+    std::vector<std::string> tokens(seq.begin(), seq.end());
     return context.tfidf().Summarize(tokens, options_.max_sequence_tokens);
   }
-  if (tokens.size() <= options_.max_sequence_tokens) return tokens;
-  return std::vector<std::string>(
-      tokens.begin(), tokens.begin() + options_.max_sequence_tokens);
+  seq = seq.first(std::min(seq.size(), options_.max_sequence_tokens));
+  return {seq.begin(), seq.end()};
 }
 
 DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
                                          bool left_side, uint32_t record,
                                          Rng* dropout) const {
   RecordRep rep;
-  const auto& cache = left_side ? context.left() : context.right();
-  size_t num_attrs = context.task().left().schema().num_attributes();
-  auto keep = [&](const std::string&) {
+  const data::ColumnarStore& store = context.columnar();
+  size_t side = Side(left_side);
+  size_t num_attrs = store.num_attrs();
+  auto keep = [&](std::string_view) {
     return dropout == nullptr ||
            !dropout->Bernoulli(options_.ditto_token_dropout);
   };
 
-  auto token_vec = [this](const std::string& token) -> const embed::Vec& {
+  auto token_vec = [this](std::string_view view) -> const embed::Vec& {
+    std::string token(view);
     auto it = token_cache_.find(token);
     if (it == token_cache_.end()) {
       it = token_cache_.emplace(token, static_model_.EmbedToken(token)).first;
@@ -78,9 +84,9 @@ DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
     case DlMethod::kDeepMatcher: {
       rep.attr_vecs.resize(num_attrs);
       for (size_t a = 0; a < num_attrs; ++a) {
-        const auto& tokens = cache.TokensAttr(record, a);
+        auto tokens = store.TokenSeqAttr(side, record, a);
         embed::Vec v(options_.attr_dim, 0.0F);
-        for (const auto& token : tokens) {
+        for (std::string_view token : tokens) {
           embed::AddInPlace(&v, token_vec(token));
         }
         if (!tokens.empty()) {
@@ -117,11 +123,11 @@ DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
       for (size_t a = 0; a < num_attrs &&
                          rep.token_vecs.size() < options_.max_alignment_tokens;
            ++a) {
-        for (const auto& token : cache.TokensAttr(record, a)) {
+        for (std::string_view token : store.TokenSeqAttr(side, record, a)) {
           if (rep.token_vecs.size() >= options_.max_alignment_tokens) break;
           if (!keep(token)) continue;
           rep.token_vecs.push_back(token_vec(token));
-          rep.token_idf.push_back(context.tfidf().Idf(token));
+          rep.token_idf.push_back(context.tfidf().Idf(std::string(token)));
           rep.token_attr.push_back(a);
         }
       }
@@ -131,10 +137,10 @@ DlMatcher::RecordRep DlMatcher::BuildRep(const MatchingContext& context,
       for (size_t a = 0; a < num_attrs &&
                          rep.token_vecs.size() < options_.max_alignment_tokens;
            ++a) {
-        for (const auto& token : cache.TokensAttr(record, a)) {
+        for (std::string_view token : store.TokenSeqAttr(side, record, a)) {
           if (rep.token_vecs.size() >= options_.max_alignment_tokens) break;
           rep.token_vecs.push_back(token_vec(token));
-          rep.token_idf.push_back(context.tfidf().Idf(token));
+          rep.token_idf.push_back(context.tfidf().Idf(std::string(token)));
           rep.token_attr.push_back(a);
         }
       }

@@ -134,17 +134,11 @@ std::vector<uint8_t> EnsembleLinkMatcher::Run(const MatchingContext& context) {
   auto model = TrainModel(context);
   RLBENCH_CHECK(model.ok());
 
-  bool was_frozen = context.left().frozen() && context.right().frozen();
-  (*model)->PrepareContext(context);
   const auto& test = context.task().test();
   std::vector<double> scores(test.size());
   std::vector<uint8_t> predictions(test.size());
   Status scored = (*model)->ScoreBatch(context, test, scores, predictions);
   RLBENCH_CHECK(scored.ok());
-  if (!was_frozen) {
-    context.left().Thaw();
-    context.right().Thaw();
-  }
   return predictions;
 }
 

@@ -1,36 +1,36 @@
 #include "matchers/esde.h"
 
 #include <algorithm>
+#include <string>
 
+#include "common/check.h"
 #include "common/parallel.h"
 #include "ml/metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "text/kernels.h"
-#include "text/similarity.h"
 
 namespace rlbench::matchers {
 
 namespace {
 
-constexpr int kMinQ = data::RecordFeatureCache::kMinQ;
-constexpr int kMaxQ = data::RecordFeatureCache::kMaxQ;
-constexpr int kNumQ = kMaxQ - kMinQ + 1;
+constexpr int kMinQ = data::ColumnarStore::kMinQ;
+constexpr int kMaxQ = data::ColumnarStore::kMaxQ;
 
 // Chunk of candidate pairs per dispatch in the batch-extraction loops.
 constexpr size_t kPairGrain = 256;
 
-// Scalar-reference fallback: used only when the columnar q-gram pools are
-// not built (single-pair serve scoring on a cold context). The batch paths
-// go through the SetSims overload below, which computes the same triple
-// bit-exactly from ONE merge scan instead of three.
-void PushSetSims(const text::TokenSet& a, const text::TokenSet& b,
-                 std::vector<double>* out) {
-  out->push_back(text::CosineSimilarity(a, b));
-  out->push_back(text::DiceSimilarity(a, b));
-  out->push_back(text::JaccardSimilarity(a, b));
+constexpr const char* kNeedsQGramPools =
+    "q-gram ESDE features need the store's q-gram pools "
+    "(TrainedModel::PrepareContext)";
+
+bool IsQGramVariant(EsdeVariant variant) {
+  return variant == EsdeVariant::kSchemaAgnosticQgram ||
+         variant == EsdeVariant::kSchemaBasedQgram;
 }
 
+// The (Cosine, Dice, Jaccard) triple of one set pair, computed from ONE
+// merge scan.
 void PushSetSims(text::kernels::SetSims sims, std::vector<double>* out) {
   out->push_back(sims.cosine);
   out->push_back(sims.dice);
@@ -61,8 +61,6 @@ std::vector<double> EsdeFeaturesWith(const MatchingContext& context,
   namespace k = text::kernels;
   constexpr size_t kL = data::ColumnarStore::kLeft;
   constexpr size_t kR = data::ColumnarStore::kRight;
-  const auto& left = context.left();
-  const auto& right = context.right();
   const data::ColumnarStore& store = context.columnar();
   size_t num_attrs = context.task().left().schema().num_attributes();
   std::vector<double> features;
@@ -81,29 +79,21 @@ std::vector<double> EsdeFeaturesWith(const MatchingContext& context,
       }
       break;
     case EsdeVariant::kSchemaAgnosticQgram:
+      RLBENCH_CHECK_MSG(store.qgrams_built(), kNeedsQGramPools);
       for (int q = kMinQ; q <= kMaxQ; ++q) {
-        if (store.qgrams_built()) {
-          PushSetSims(k::SetFamilySortedU64(store.QGramAll(kL, pair.left, q),
-                                            store.QGramAll(kR, pair.right, q)),
-                      &features);
-        } else {
-          PushSetSims(left.QGramSetAll(pair.left, q),
-                      right.QGramSetAll(pair.right, q), &features);
-        }
+        PushSetSims(k::SetFamilySortedU64(store.QGramAll(kL, pair.left, q),
+                                          store.QGramAll(kR, pair.right, q)),
+                    &features);
       }
       break;
     case EsdeVariant::kSchemaBasedQgram:
+      RLBENCH_CHECK_MSG(store.qgrams_built(), kNeedsQGramPools);
       for (size_t a = 0; a < num_attrs; ++a) {
         for (int q = kMinQ; q <= kMaxQ; ++q) {
-          if (store.qgrams_built()) {
-            PushSetSims(
-                k::SetFamilySortedU64(store.QGramAttr(kL, pair.left, a, q),
-                                      store.QGramAttr(kR, pair.right, a, q)),
-                &features);
-          } else {
-            PushSetSims(left.QGramSetAttr(pair.left, a, q),
-                        right.QGramSetAttr(pair.right, a, q), &features);
-          }
+          PushSetSims(
+              k::SetFamilySortedU64(store.QGramAttr(kL, pair.left, a, q),
+                                    store.QGramAttr(kR, pair.right, a, q)),
+              &features);
         }
       }
       break;
@@ -167,35 +157,14 @@ class TrainedEsdeModel final : public TrainedModel {
   }
 
   void PrepareContext(const MatchingContext& context) const override {
-    if (context.left().frozen() && context.right().frozen()) return;
-    switch (variant_) {
-      case EsdeVariant::kSchemaAgnostic:
-      case EsdeVariant::kSchemaBased:
-        context.left().WarmTokens();
-        context.right().WarmTokens();
-        break;
-      case EsdeVariant::kSchemaAgnosticQgram:
-      case EsdeVariant::kSchemaBasedQgram:
-        context.left().WarmQGrams();
-        context.right().WarmQGrams();
-        // Batch scoring reads the contiguous pools; single-pair scoring on
-        // a store without pools falls back to the row caches warmed above.
-        context.columnar().EnsureQGrams();
-        break;
-      case EsdeVariant::kSchemaAgnosticSent:
-      case EsdeVariant::kSchemaBasedSent:
-        // Sentence features read raw record text, not the caches.
-        break;
-    }
-    context.left().Freeze();
-    context.right().Freeze();
+    if (IsQGramVariant(variant_)) context.columnar().EnsureQGrams();
   }
 
   void SerializePayload(BlobWriter* writer) const override {
     writer->WriteU8(static_cast<uint8_t>(variant_));
     writer->WriteU64(options_.sentence_dim);
     writer->WriteU64(options_.seed);
-    writer->WriteU64(options_.qgram_char_cap);
+    writer->WriteU64(data::ColumnarStore::kQGramCharCap);
     writer->WriteU64(num_attrs_);
     writer->WriteI32(best_feature_);
     writer->WriteDouble(best_threshold_);
@@ -238,7 +207,7 @@ EsdeMatcher::EsdeMatcher(EsdeVariant variant, EsdeOptions options)
       options_(options),
       encoder_(options.sentence_dim, options.seed) {}
 
-void EsdeMatcher::WarmSentenceVectors(const MatchingContext& context) {
+void EsdeMatcher::EncodeSentenceVectors(const MatchingContext& context) {
   size_t num_attrs = context.task().left().schema().num_attributes();
   vec_slots_per_side_ = num_attrs + 1;
   vec_pack_.resize(2 * vec_slots_per_side_);
@@ -278,8 +247,8 @@ EsdeMatcher::RecordSpans(bool left_side, uint32_t record, int attr) const {
   size_t side = left_side ? 0 : 1;
   const data::PackedMatrix& pack =
       vec_pack_[side * vec_slots_per_side_ + static_cast<size_t>(attr + 1)];
-  // WarmCaches fills the pack for every record this variant reads; an
-  // empty matrix here means the two-phase contract was violated.
+  // PrepareFeatures fills the pack for every record this variant reads;
+  // an empty matrix here means it did not run.
   RLBENCH_DCHECK(!pack.empty());
   return {pack.row(record), pack.sorted_row(record)};
 }
@@ -299,29 +268,16 @@ double EsdeMatcher::SingleFeature(const MatchingContext& context,
   return Features(context, pair)[feature];
 }
 
-void EsdeMatcher::WarmCaches(const MatchingContext& context) {
-  RLBENCH_TRACE_SPAN("esde/warm");
-  switch (variant_) {
-    case EsdeVariant::kSchemaAgnostic:
-    case EsdeVariant::kSchemaBased:
-      // Token slots were warmed by the MatchingContext constructor; the
-      // idempotent re-warm only scans for (absent) gaps.
-      context.left().WarmTokens();
-      context.right().WarmTokens();
-      break;
-    case EsdeVariant::kSchemaAgnosticQgram:
-    case EsdeVariant::kSchemaBasedQgram:
-      context.left().WarmQGrams();
-      context.right().WarmQGrams();
-      // Contiguous sorted q-gram pools for the merge-scan kernels.
-      context.columnar().EnsureQGrams();
-      break;
-    case EsdeVariant::kSchemaAgnosticSent:
-    case EsdeVariant::kSchemaBasedSent:
-      // Pre-encode every record vector the variant reads into the packed
-      // matrices; afterwards the batch loops only read immutable rows.
-      WarmSentenceVectors(context);
-      break;
+void EsdeMatcher::PrepareFeatures(const MatchingContext& context) {
+  RLBENCH_TRACE_SPAN("esde/prepare");
+  if (IsQGramVariant(variant_)) {
+    // Contiguous sorted q-gram pools for the merge-scan kernels.
+    context.columnar().EnsureQGrams();
+  } else if (variant_ == EsdeVariant::kSchemaAgnosticSent ||
+             variant_ == EsdeVariant::kSchemaBasedSent) {
+    // Pre-encode every record vector the variant reads into the packed
+    // matrices; afterwards the batch loops only read immutable rows.
+    EncodeSentenceVectors(context);
   }
 }
 
@@ -331,13 +287,10 @@ Result<std::unique_ptr<TrainedModel>> EsdeMatcher::TrainModel(
   size_t num_attrs = task.left().schema().num_attributes();
   size_t dim = EsdeFeatureCount(variant_, num_attrs);
 
-  // Two-phase cache contract: bulk-fill everything this variant reads,
-  // then freeze both record caches so the batch loops below may extract
-  // features concurrently (rows are index-addressed — identical results
-  // at any thread count).
-  WarmCaches(context);
-  context.left().Freeze();
-  context.right().Freeze();
+  // Build everything this variant reads first, so the batch loops below
+  // only read and may extract features concurrently (rows are
+  // index-addressed — identical results at any thread count).
+  PrepareFeatures(context);
 
   // --- Training phase: best threshold per feature on the training set.
   const auto& train = task.train();
@@ -394,9 +347,6 @@ Result<std::unique_ptr<TrainedModel>> EsdeMatcher::TrainModel(
     }
   }
   best_threshold_ = thresholds[best_feature_];
-
-  context.left().Thaw();
-  context.right().Thaw();
   return std::unique_ptr<TrainedModel>(std::make_unique<TrainedEsdeModel>(
       variant_, options_, num_attrs, best_feature_, best_threshold_,
       best_valid_f1_));
@@ -412,8 +362,6 @@ std::vector<uint8_t> EsdeMatcher::Run(const MatchingContext& context) {
   // record-vector cache, so it scores through SingleFeature rather than the
   // snapshot model's re-encoding path; both produce identical bits (the
   // serve tests assert it).
-  context.left().Freeze();
-  context.right().Freeze();
   const auto& test = context.task().test();
   RLBENCH_COUNTER_ADD("matchers/esde/pairs_featurized", test.size());
   std::vector<uint8_t> predictions(test.size());
@@ -421,9 +369,6 @@ std::vector<uint8_t> EsdeMatcher::Run(const MatchingContext& context) {
     double score = SingleFeature(context, test[i], best_feature_);
     predictions[i] = best_threshold_ <= score ? 1 : 0;
   });
-
-  context.left().Thaw();
-  context.right().Thaw();
   return predictions;
 }
 
@@ -437,6 +382,8 @@ Result<std::unique_ptr<TrainedModel>> DeserializeEsdeModel(
   EsdeOptions options;
   RLBENCH_ASSIGN_OR_RETURN(uint64_t sentence_dim, reader->ReadU64());
   RLBENCH_ASSIGN_OR_RETURN(options.seed, reader->ReadU64());
+  // The q-gram character cap the model was trained under; the store's
+  // cap is fixed, so a snapshot that records another one cannot score.
   RLBENCH_ASSIGN_OR_RETURN(uint64_t qgram_char_cap, reader->ReadU64());
   RLBENCH_ASSIGN_OR_RETURN(uint64_t num_attrs, reader->ReadU64());
   RLBENCH_ASSIGN_OR_RETURN(int32_t best_feature, reader->ReadI32());
@@ -448,8 +395,12 @@ Result<std::unique_ptr<TrainedModel>> DeserializeEsdeModel(
   if (num_attrs == 0 || num_attrs > (1U << 16)) {
     return Status::IOError("esde model: implausible attribute count");
   }
+  if (qgram_char_cap != data::ColumnarStore::kQGramCharCap) {
+    return Status::IOError("esde model: q-gram character cap " +
+                           std::to_string(qgram_char_cap) + " != " +
+                           std::to_string(data::ColumnarStore::kQGramCharCap));
+  }
   options.sentence_dim = static_cast<size_t>(sentence_dim);
-  options.qgram_char_cap = static_cast<size_t>(qgram_char_cap);
   size_t dim = EsdeFeatureCount(variant, static_cast<size_t>(num_attrs));
   if (best_feature < 0 || static_cast<size_t>(best_feature) >= dim) {
     return Status::IOError("esde model: selected feature out of range");

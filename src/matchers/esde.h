@@ -21,9 +21,6 @@ struct EsdeOptions {
   /// Embedding dimensionality for the sentence-encoder variants.
   size_t sentence_dim = 64;
   uint64_t seed = 7;
-  /// Characters of text fed to the q-gram variants per value (bounds the
-  /// q-gram set size on long-text datasets; mirrors transformer caps).
-  size_t qgram_char_cap = 160;
 };
 
 /// \brief One of the six ESDE variants.
@@ -55,18 +52,17 @@ class EsdeMatcher : public Matcher {
                        const data::LabeledPair& pair, int feature);
 
   /// Embedding of one record under the packed cache: (row, sorted row)
-  /// views for the vectorized similarity kernels. WarmCaches must have
-  /// filled the pack for this variant first.
+  /// views for the vectorized similarity kernels. PrepareFeatures must
+  /// have filled the pack for this variant first.
   std::pair<std::span<const float>, std::span<const float>> RecordSpans(
       bool left_side, uint32_t record, int attr) const;
 
-  /// Warm-up half of the two-phase cache contract: bulk-fill every slot
-  /// this variant reads (token sets, q-gram sets, or record vectors) so
-  /// the batch loops in Run() can read the frozen caches concurrently.
-  void WarmCaches(const MatchingContext& context);
+  /// Build what this variant reads beyond the token columns (q-gram pools
+  /// or record vectors) so the batch loops in Run() only read.
+  void PrepareFeatures(const MatchingContext& context);
 
   /// Encode every record vector of the SAS/SBS variants into vec_pack_.
-  void WarmSentenceVectors(const MatchingContext& context);
+  void EncodeSentenceVectors(const MatchingContext& context);
 
   EsdeVariant variant_;
   EsdeOptions options_;

@@ -4,52 +4,8 @@
 
 #include "common/check.h"
 #include "text/kernels.h"
-#include "text/similarity.h"
 
 namespace rlbench::matchers {
-
-namespace {
-
-std::string_view Truncated(const std::string& value, size_t max_chars) {
-  return std::string_view(value).substr(0, max_chars);
-}
-
-std::vector<std::string> CapTokens(const std::vector<std::string>& tokens,
-                                   size_t max_tokens) {
-  if (tokens.size() <= max_tokens) return tokens;
-  return std::vector<std::string>(tokens.begin(), tokens.begin() + max_tokens);
-}
-
-}  // namespace
-
-std::vector<float> MagellanFeatures(const data::RecordFeatureCache& left,
-                                    const data::RecordFeatureCache& right,
-                                    const data::LabeledPair& pair) {
-  const data::Record& l = left.table().record(pair.left);
-  const data::Record& r = right.table().record(pair.right);
-  size_t num_attrs = left.table().schema().num_attributes();
-
-  std::vector<float> features;
-  features.reserve(num_attrs * kMagellanFeaturesPerAttr);
-  for (size_t a = 0; a < num_attrs; ++a) {
-    const std::string& lv = l.values[a];
-    const std::string& rv = r.values[a];
-    const auto& lset = left.TokenSetAttr(pair.left, a);
-    const auto& rset = right.TokenSetAttr(pair.right, a);
-    features.push_back(
-        static_cast<float>(text::JaccardSimilarity(lset, rset)));
-    features.push_back(static_cast<float>(text::LevenshteinSimilarity(
-        Truncated(lv, kMaxCharsForEditSims), Truncated(rv, kMaxCharsForEditSims))));
-    features.push_back(static_cast<float>(text::JaroWinklerSimilarity(
-        Truncated(lv, kMaxCharsForEditSims), Truncated(rv, kMaxCharsForEditSims))));
-    features.push_back(static_cast<float>(text::MongeElkanSimilarity(
-        CapTokens(left.TokensAttr(pair.left, a), kMaxTokensForMongeElkan),
-        CapTokens(right.TokensAttr(pair.right, a), kMaxTokensForMongeElkan))));
-    features.push_back(static_cast<float>(text::NumericSimilarity(lv, rv)));
-    features.push_back(static_cast<float>(text::ExactMatchSimilarity(lv, rv)));
-  }
-  return features;
-}
 
 void MagellanFeaturesColumnar(const data::ColumnarStore& store,
                               const data::LabeledPair& pair,
@@ -104,8 +60,7 @@ const char* EsdeVariantName(EsdeVariant variant) {
 }
 
 size_t EsdeFeatureCount(EsdeVariant variant, size_t num_attrs) {
-  constexpr size_t kNumQ =
-      data::RecordFeatureCache::kMaxQ - data::RecordFeatureCache::kMinQ + 1;
+  constexpr size_t kNumQ = data::ColumnarStore::kNumQ;
   switch (variant) {
     case EsdeVariant::kSchemaAgnostic:
     case EsdeVariant::kSchemaAgnosticSent:

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "data/columnar.h"
-#include "data/feature_cache.h"
 #include "data/task.h"
 
 namespace rlbench::matchers {
@@ -23,16 +22,10 @@ inline constexpr size_t kMaxCharsForEditSims = 48;
 inline constexpr size_t kMaxTokensForMongeElkan = 12;
 
 /// Magellan feature vector of one candidate pair (one block of
-/// kMagellanFeaturesPerAttr values per attribute).
-std::vector<float> MagellanFeatures(const data::RecordFeatureCache& left,
-                                    const data::RecordFeatureCache& right,
-                                    const data::LabeledPair& pair);
-
-/// Columnar hot path of MagellanFeatures: same features, bit-identical
-/// values, written straight into `out` (size num_attrs *
-/// kMagellanFeaturesPerAttr) with no per-pair allocation. The row-oriented
-/// overload above stays as the cold-path adapter and the scalar reference
-/// for the differential tests.
+/// kMagellanFeaturesPerAttr values per attribute), written straight into
+/// `out` (size num_attrs * kMagellanFeaturesPerAttr) with no per-pair
+/// allocation. The scalar reference it must equal bit for bit is
+/// oracle::MagellanFeatures in tests/support/row_oracle.h.
 void MagellanFeaturesColumnar(const data::ColumnarStore& store,
                               const data::LabeledPair& pair,
                               std::span<float> out);

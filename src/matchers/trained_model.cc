@@ -28,16 +28,6 @@ Status TrainedModel::ScoreBatch(const MatchingContext& context,
   return Status::OK();
 }
 
-void TrainedModel::PrepareContext(const MatchingContext& context) const {
-  // A frozen context is already prepared (serving freezes once per
-  // installed snapshot and keeps the caches frozen for its lifetime).
-  if (context.left().frozen() && context.right().frozen()) return;
-  context.left().WarmTokens();
-  context.right().WarmTokens();
-  context.left().Freeze();
-  context.right().Freeze();
-}
-
 void SerializeTrainedModel(const TrainedModel& model, BlobWriter* writer) {
   writer->WriteU8(static_cast<uint8_t>(model.kind()));
   model.SerializePayload(writer);

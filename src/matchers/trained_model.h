@@ -8,8 +8,8 @@
 // Equivalence contract: for any pair, ScorePair/ScoreBatch produce the
 // same bits as the feature extraction inside the matcher's own Run() —
 // both paths flow through the identical feature code (esde.cc shares one
-// helper; Magellan and ZeroER recompute MagellanFeatures, which is a pure
-// function of the frozen caches). The serve tests pin this down per
+// helper; Magellan and ZeroER recompute MagellanFeaturesColumnar, a pure
+// function of the columnar store). The serve tests pin this down per
 // matcher family at 1/2/7 threads.
 #ifndef RLBENCH_SRC_MATCHERS_TRAINED_MODEL_H_
 #define RLBENCH_SRC_MATCHERS_TRAINED_MODEL_H_
@@ -38,8 +38,8 @@ enum class TrainedModelKind : uint8_t {
 /// \brief An immutable fitted matcher that scores record pairs.
 ///
 /// Thread-safety: all scoring methods are const and safe to call
-/// concurrently once PrepareContext() has warmed and frozen the context's
-/// record caches (the two-phase contract of data/feature_cache.h).
+/// concurrently once PrepareContext() has built what the model reads
+/// beyond the context's token columns.
 class TrainedModel {
  public:
   virtual ~TrainedModel() = default;
@@ -80,9 +80,10 @@ class TrainedModel {
                             std::span<double> scores,
                             std::span<uint8_t> decisions) const;
 
-  /// Warm every context cache slot this model's feature family reads, then
-  /// freeze both caches for concurrent scoring. Idempotent.
-  virtual void PrepareContext(const MatchingContext& context) const;
+  /// Build the lazy store columns this model's feature family reads (the
+  /// q-gram pools for the q-gram ESDE variants; nothing for the others).
+  /// Idempotent; must not run concurrently with scoring on `context`.
+  virtual void PrepareContext(const MatchingContext& /*context*/) const {}
 
   /// Append the model's payload (everything after the kind tag).
   virtual void SerializePayload(BlobWriter* writer) const = 0;

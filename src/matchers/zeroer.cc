@@ -40,7 +40,8 @@ class TrainedZeroErModel final : public TrainedModel {
 
   double ScorePair(const MatchingContext& context,
                    const data::LabeledPair& pair) const override {
-    auto features = MagellanFeatures(context.left(), context.right(), pair);
+    std::vector<float> features(num_attrs_ * kMagellanFeaturesPerAttr);
+    MagellanFeaturesColumnar(context.columnar(), pair, features);
     return gmm_.PredictScore(ZeroErSelectFeatures(features));
   }
 

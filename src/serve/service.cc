@@ -62,29 +62,18 @@ Status MatchService::InstallSnapshot(const Snapshot& snapshot) {
 }
 
 void MatchService::RewarmAll(const matchers::TrainedModel* extra) {
-  // Different model families read different context caches (token sets,
-  // q-grams, nothing). Thaw re-enters the warm phase without discarding
-  // already-cached values, and Warm*() is idempotent — so re-preparing
-  // every installed model warms the *union* of their families while every
-  // previously cached value keeps its bits. No batch is in flight here:
-  // the service is single-threaded and ScoreBatch's parallel region always
-  // completes before PumpOne returns.
-  context_->left().Thaw();
-  context_->right().Thaw();
-  auto prepare = [this](const matchers::TrainedModel* model) {
-    if (model == nullptr) return;
-    // PrepareContext freezes; thaw again so the next family can warm.
-    model->PrepareContext(*context_);
-    context_->left().Thaw();
-    context_->right().Thaw();
-  };
+  // Different model families read different lazy store columns (q-gram
+  // pools, or nothing beyond the token columns); PrepareContext is
+  // idempotent, so preparing every installed model builds the union.
+  // No batch is in flight here: the service is single-threaded and
+  // ScoreBatch's parallel region always completes before PumpOne returns.
   std::shared_ptr<const matchers::TrainedModel> primary = model_.Acquire();
-  prepare(primary.get());
-  prepare(fallback_.get());
-  if (shadow_ != nullptr) prepare(shadow_->candidate().get());
-  prepare(extra);
-  context_->left().Freeze();
-  context_->right().Freeze();
+  const matchers::TrainedModel* models[] = {
+      primary.get(), fallback_.get(),
+      shadow_ != nullptr ? shadow_->candidate().get() : nullptr, extra};
+  for (const matchers::TrainedModel* model : models) {
+    if (model != nullptr) model->PrepareContext(*context_);
+  }
 }
 
 Status MatchService::SwapModel(
@@ -455,11 +444,8 @@ Result<std::shared_ptr<const matchers::TrainedModel>>
 MatchService::RetrainMatcher(const std::string& name, uint64_t seed) {
   RLBENCH_TRACE_SPAN("serve/retrain");
   RLBENCH_COUNTER_INC("serve/retrains");
-  // Training needs the warm phase; serving keeps the caches frozen. Thaw
-  // (cached values survive), train, then restore the frozen serving state
-  // with every installed family re-warmed — scores stay bit-identical.
-  context_->left().Thaw();
-  context_->right().Thaw();
+  // Training builds what it reads; afterwards every installed family and
+  // the new model are prepared again so the next batch only reads.
   auto model = matchers::TrainServableMatcher(name, *context_, seed);
   RewarmAll(model.ok() ? model->get() : nullptr);
   if (!model.ok()) {

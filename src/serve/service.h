@@ -156,8 +156,8 @@ class MatchService {
   /// current (readers of an in-flight batch keep the old snapshot).
   [[nodiscard]] Status InstallSnapshot(const Snapshot& snapshot);
 
-  /// Install a model directly (tests, in-process serving). Warms and
-  /// freezes whatever context caches the model's feature family reads.
+  /// Install a model directly (tests, in-process serving). Prepares the
+  /// context for the model's feature family (TrainedModel::PrepareContext).
   [[nodiscard]] Status SwapModel(std::shared_ptr<const matchers::TrainedModel> model);
 
   /// The currently served model; null before the first install.
@@ -166,8 +166,8 @@ class MatchService {
   }
 
   /// Install the cheap linear scorer the degraded tier falls back to.
-  /// Warms the union of the primary's and fallback's cache families, so
-  /// installing a fallback never changes primary scores.
+  /// Prepares the context for both models; preparing never rebuilds a
+  /// built column, so installing a fallback never changes primary scores.
   [[nodiscard]] Status SetFallbackModel(
       std::shared_ptr<const matchers::TrainedModel> model);
   std::shared_ptr<const matchers::TrainedModel> FallbackModel() const {
@@ -227,8 +227,8 @@ class MatchService {
 
   /// Begin a shadow window for `candidate` against CURRENT. Fails when no
   /// primary model is installed, a shadow is already active, or the
-  /// candidate does not fit the dataset. Warms the union of both models'
-  /// cache families (primary scores are unchanged).
+  /// candidate does not fit the dataset. Prepares the context for both
+  /// models (primary scores are unchanged).
   [[nodiscard]] Status StartShadow(
       std::shared_ptr<const matchers::TrainedModel> candidate,
       SnapshotMetadata metadata, ShadowOptions options = {});
@@ -250,9 +250,9 @@ class MatchService {
   DriftStatus DriftSnapshot() const;
 
   /// Train a servable matcher against the served context mid-serve (the
-  /// drift reaction path): thaws the record caches for the training
-  /// phase, then re-freezes with every installed model's feature family
-  /// re-warmed, so already-served scores are unchanged. The returned
+  /// drift reaction path), then prepares the context again for every
+  /// installed model and the new one; already-served scores are unchanged
+  /// (the store's columns are never rebuilt). The returned
   /// model is ready for StartShadow. Must not be called while a batch is
   /// in flight (single-threaded service: call between pumps).
   [[nodiscard]] Result<std::shared_ptr<const matchers::TrainedModel>>
@@ -285,10 +285,9 @@ class MatchService {
   /// Record latency and fire the callback.
   void Respond(Pending* request, RequestOutcome outcome);
 
-  /// Thaw both record caches, re-warm every installed model's feature
-  /// family (primary, fallback, shadow candidate — warming is idempotent
-  /// and additive, so already-cached values are untouched and scores stay
-  /// bit-identical), and freeze again.
+  /// Prepare the context for every installed model (primary, fallback,
+  /// shadow candidate) and `extra`. Preparing is idempotent and additive:
+  /// built columns are never rebuilt, so scores stay bit-identical.
   void RewarmAll(const matchers::TrainedModel* extra);
 
   /// Take one batch of same-tier requests, round-robin across tenants.

@@ -11,10 +11,17 @@
 namespace rlbench::text {
 
 void TfIdfModel::AddDocument(const std::vector<std::string>& tokens) {
+  std::vector<std::string_view> views(tokens.begin(), tokens.end());
+  AddDocument(views);
+}
+
+void TfIdfModel::AddDocument(std::span<const std::string_view> tokens) {
   RLBENCH_CHECK_MSG(!finalized_,
                     "AddDocument after Finalize would corrupt IDF weights");
-  std::unordered_set<std::string> distinct(tokens.begin(), tokens.end());
-  for (const auto& token : distinct) ++document_frequency_[token];
+  std::unordered_set<std::string_view> distinct(tokens.begin(), tokens.end());
+  for (std::string_view token : distinct) {
+    ++document_frequency_[std::string(token)];
+  }
   ++num_documents_;
 }
 

@@ -4,7 +4,9 @@
 #ifndef RLBENCH_SRC_TEXT_TFIDF_H_
 #define RLBENCH_SRC_TEXT_TFIDF_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +22,7 @@ class TfIdfModel {
 
   /// Add one document's tokens (each distinct token counted once).
   void AddDocument(const std::vector<std::string>& tokens);
+  void AddDocument(std::span<const std::string_view> tokens);
 
   /// Finish building; must be called before queries.
   void Finalize();

@@ -1,7 +1,6 @@
-// Tests for the alternative blockers: q-gram and sorted-neighbourhood.
+// Tests for the sorted-neighbourhood blocker.
 #include <gtest/gtest.h>
 
-#include "block/qgram_blocking.h"
 #include "block/sorted_neighborhood.h"
 #include "datagen/catalog.h"
 #include "datagen/source_builder.h"
@@ -17,38 +16,6 @@ data::Table SmallTable(const char* name,
     table.Add(data::Record{name + std::to_string(i++), std::move(row)});
   }
   return table;
-}
-
-TEST(QGramBlockingTest, TyposStillBlocked) {
-  // Token blocking misses "keybaord" vs "keyboard"; q-grams do not.
-  auto d1 = SmallTable("a", {{"wireless keybaord"}});
-  auto d2 = SmallTable("b", {{"wireless keyboard"}, {"cotton socks"}});
-  QGramBlockingOptions options;
-  options.min_shared_grams = 3;
-  auto candidates = QGramBlocking(d1, d2, options);
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].second, 0u);
-}
-
-TEST(QGramBlockingTest, MinSharedGramsFiltersWeakOverlap) {
-  auto d1 = SmallTable("a", {{"alpha"}});
-  auto d2 = SmallTable("b", {{"alphabet soup"}, {"zulu"}});
-  QGramBlockingOptions loose;
-  loose.min_shared_grams = 1;
-  QGramBlockingOptions strict;
-  strict.min_shared_grams = 50;
-  EXPECT_GE(QGramBlocking(d1, d2, loose).size(), 1u);
-  EXPECT_TRUE(QGramBlocking(d1, d2, strict).empty());
-}
-
-TEST(QGramBlockingTest, RecallOnRealisticSource) {
-  auto source = datagen::BuildSourceDataset(
-      *datagen::FindSourceDataset("Dn3"), 0.1);
-  QGramBlockingOptions options;
-  options.min_shared_grams = 5;
-  auto candidates = QGramBlocking(source.d1, source.d2, options);
-  auto metrics = EvaluateBlocking(candidates, source.matches);
-  EXPECT_GT(metrics.pair_completeness, 0.95);  // q-grams are a loose blocker
 }
 
 TEST(SortedNeighborhoodTest, WindowControlsCandidateCount) {

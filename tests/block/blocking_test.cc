@@ -2,7 +2,6 @@
 
 #include "block/deepblocker_sim.h"
 #include "block/metrics.h"
-#include "block/token_blocking.h"
 #include "datagen/catalog.h"
 #include "datagen/source_builder.h"
 
@@ -23,53 +22,6 @@ TEST(BlockingMetricsTest, EmptyCandidates) {
   auto metrics = EvaluateBlocking({}, {{0, 0}});
   EXPECT_DOUBLE_EQ(metrics.pair_completeness, 0.0);
   EXPECT_DOUBLE_EQ(metrics.pairs_quality, 0.0);
-}
-
-data::Table SmallTable(const char* name,
-                       std::vector<std::vector<std::string>> rows) {
-  data::Table table(name, data::Schema({"text"}));
-  int i = 0;
-  for (auto& row : rows) {
-    table.Add(data::Record{name + std::to_string(i++), std::move(row)});
-  }
-  return table;
-}
-
-TEST(TokenBlockingTest, SharedTokenMakesCandidate) {
-  auto d1 = SmallTable("a", {{"apple iphone"}, {"samsung galaxy"}});
-  auto d2 = SmallTable("b", {{"iphone case"}, {"dell laptop"}});
-  auto candidates = TokenBlocking(d1, d2, {});
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].first, 0u);
-  EXPECT_EQ(candidates[0].second, 0u);
-}
-
-TEST(TokenBlockingTest, StopTokenBlocksSkipped) {
-  std::vector<std::vector<std::string>> left;
-  std::vector<std::vector<std::string>> right;
-  for (int i = 0; i < 10; ++i) {
-    // The numeric suffixes never collide across tables, so "common" is the
-    // only shared token — and its block is oversized.
-    left.push_back({"common token l" + std::to_string(i)});
-    right.push_back({"common other r" + std::to_string(i)});
-  }
-  auto d1 = SmallTable("a", left);
-  auto d2 = SmallTable("b", right);
-  TokenBlockingOptions options;
-  options.max_block_size = 5;  // "common" appears 10 times -> skipped
-  auto candidates = TokenBlocking(d1, d2, options);
-  EXPECT_TRUE(candidates.empty());
-}
-
-TEST(TokenBlockingTest, CandidateCapRespected) {
-  std::vector<std::vector<std::string>> rows;
-  for (int i = 0; i < 20; ++i) rows.push_back({"shared"});
-  auto d1 = SmallTable("a", rows);
-  auto d2 = SmallTable("b", rows);
-  TokenBlockingOptions options;
-  options.max_block_size = 1000;
-  options.max_candidates = 37;
-  EXPECT_EQ(TokenBlocking(d1, d2, options).size(), 37u);
 }
 
 class DeepBlockerTest : public ::testing::Test {

@@ -8,6 +8,10 @@
 #include <thread>
 #include <vector>
 
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "common/rng.h"
 
 namespace rlbench {
@@ -198,6 +202,56 @@ TEST(ParallelConfigTest, SetParallelThreadsOverridesAndRestores) {
   for (int count : counts) EXPECT_EQ(count, 1);
   SetParallelThreads(0);
   EXPECT_GE(ParallelThreadCount(), 1U);
+}
+
+// Exit code of a child that ran `child` after fork(); -1 if it did not
+// exit normally within the deadline (killed and reaped here).
+int RunInForkedChild(int (*child)()) {
+  pid_t pid = fork();
+  if (pid == 0) _exit(child());
+  if (pid < 0) return -1;
+  int status = 0;
+  for (int waited_ms = 0; waited_ms < 30000; waited_ms += 10) {
+    if (waitpid(pid, &status, WNOHANG) == pid) {
+      return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    }
+    usleep(10 * 1000);
+  }
+  kill(pid, SIGKILL);
+  waitpid(pid, &status, 0);
+  return -1;
+}
+
+// 0 when ParallelFor touches every index exactly once.
+int CountOnceOrFail() {
+  std::vector<int> counts(2000, 0);
+  ParallelFor(0, counts.size(), 7, [&](size_t i) { ++counts[i]; });
+  for (int count : counts) {
+    if (count != 1) return 2;
+  }
+  return 0;
+}
+
+TEST(ParallelForkTest, ChildOfABusyPoolCanResizeAndRunIt) {
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer kills a child that starts threads after a fork of a
+  // multi-threaded process; the ASan/UBSan and plain builds run this.
+  GTEST_SKIP() << "ThreadSanitizer does not support threads after fork";
+#endif
+  // Regression: the child inherited the parent's worker handles, and
+  // SetParallelThreads joined threads that do not exist after fork().
+  SetParallelThreads(4);
+  ASSERT_EQ(CountOnceOrFail(), 0);  // workers are running now
+  EXPECT_EQ(RunInForkedChild([] {
+              SetParallelThreads(3);
+              return CountOnceOrFail();
+            }),
+            0);
+  // Same width in the child: the pool relaunches its workers lazily.
+  EXPECT_EQ(RunInForkedChild([] { return CountOnceOrFail(); }), 0);
+  // The parent's pool is unaffected by the forks.
+  EXPECT_EQ(CountOnceOrFail(), 0);
+  SetParallelThreads(0);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "block/metrics.h"
-#include "block/token_blocking.h"
+#include "block/minhash_blocking.h"
 #include "common/parallel.h"
 #include "core/complexity.h"
 #include "core/linearity.h"
@@ -67,13 +67,13 @@ Snapshot Measure(const data::MatchingTask& task, size_t threads) {
   snap.esde_threshold = token_esde.best_threshold();
   snap.esde_valid_f1 = token_esde.best_valid_f1();
 
-  // The q-gram variant exercises the WarmQGrams bulk fill.
+  // The q-gram variant exercises the store's q-gram pool build.
   matchers::EsdeMatcher qgram_esde(
       matchers::EsdeVariant::kSchemaAgnosticQgram);
   snap.esde_qgram_predictions = qgram_esde.Run(context);
 
   auto candidates =
-      block::TokenBlocking(task.left(), task.right(), {});
+      block::MinHashBlocking(task.left(), task.right(), {});
   std::vector<block::CandidatePair> matches;
   for (const auto& pair : task.AllPairs()) {
     if (pair.is_match) matches.push_back({pair.left, pair.right});

@@ -33,8 +33,6 @@ class DriftServiceTest : public ::testing::Test {
 
   static std::shared_ptr<const matchers::TrainedModel> Train(
       const matchers::MatchingContext& context, const std::string& name) {
-    context.left().Thaw();
-    context.right().Thaw();
     auto trained = matchers::TrainServableMatcher(name, context);
     EXPECT_TRUE(trained.ok()) << trained.status();
     return std::shared_ptr<const matchers::TrainedModel>(std::move(*trained));

@@ -27,12 +27,19 @@ TEST(ContextTest, FrequentDomainTokensGetLowIdf) {
   EXPECT_LT(common, unseen);
 }
 
-TEST(ContextTest, CachesBelongToTheirTables) {
+TEST(ContextTest, StoreCoversBothTables) {
   auto task = datagen::BuildExistingBenchmark(
       *datagen::FindExistingBenchmark("Ds5"), 0.5);
   MatchingContext context(&task);
-  EXPECT_EQ(&context.left().table(), &task.left());
-  EXPECT_EQ(&context.right().table(), &task.right());
+  const data::ColumnarStore& store = context.columnar();
+  ASSERT_EQ(store.num_records(data::ColumnarStore::kLeft), task.left().size());
+  ASSERT_EQ(store.num_records(data::ColumnarStore::kRight),
+            task.right().size());
+  // Value() views the task's own tables, not copies.
+  EXPECT_EQ(store.Value(data::ColumnarStore::kLeft, 0, 0).data(),
+            task.left().record(0).values[0].data());
+  EXPECT_EQ(store.Value(data::ColumnarStore::kRight, 0, 0).data(),
+            task.right().record(0).values[0].data());
 }
 
 TEST(ContextTest, MagellanDatasetsShareLabelsWithTask) {

@@ -33,10 +33,9 @@ MatchingContext* MatchersTest::easy_ = nullptr;
 
 TEST_F(MatchersTest, MagellanFeatureDimension) {
   auto pair = easy_task_->train().front();
-  auto features = MagellanFeatures(easy_->left(), easy_->right(), pair);
-  EXPECT_EQ(features.size(),
-            easy_task_->left().schema().num_attributes() *
-                kMagellanFeaturesPerAttr);
+  std::vector<float> features(easy_task_->left().schema().num_attributes() *
+                              kMagellanFeaturesPerAttr);
+  MagellanFeaturesColumnar(easy_->columnar(), pair, features);
   for (float f : features) {
     EXPECT_GE(f, 0.0F);
     EXPECT_LE(f, 1.0F);

@@ -28,8 +28,6 @@ class ServeFaultTest : public ::testing::Test {
     task_ = new data::MatchingTask(datagen::BuildExistingBenchmark(
         *datagen::FindExistingBenchmark("Ds7"), 0.5));
     context_ = new matchers::MatchingContext(task_);
-    context_->left().Thaw();
-    context_->right().Thaw();
     auto trained = matchers::TrainServableMatcher("Magellan-DT", *context_);
     ASSERT_TRUE(trained.ok());
     model_ = std::shared_ptr<const matchers::TrainedModel>(std::move(*trained));

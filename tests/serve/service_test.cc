@@ -35,8 +35,6 @@ class ServiceTest : public ::testing::Test {
 
   static std::shared_ptr<const matchers::TrainedModel> Train(
       const matchers::MatchingContext& context, const std::string& name) {
-    context.left().Thaw();
-    context.right().Thaw();
     auto trained = matchers::TrainServableMatcher(name, context);
     EXPECT_TRUE(trained.ok()) << trained.status();
     return std::shared_ptr<const matchers::TrainedModel>(std::move(*trained));
@@ -221,13 +219,14 @@ TEST_F(ServiceTest, QueuedDeadlineExpiresInsteadOfScoring) {
   EXPECT_TRUE(scored.ok()) << scored;  // its batch-mate is unaffected
 }
 
-// Swapping between model families mid-serve re-warms the caches and keeps
-// scores bit-identical to a service that never swapped.
+// Swapping between model families mid-serve prepares the context for the
+// new family and keeps scores bit-identical to a service that never
+// swapped.
 TEST_F(ServiceTest, HotSwapAcrossFamiliesKeepsScoresExact) {
   matchers::MatchingContext context(task_);
   MatchService service(&context);
   auto magellan = Train(context, "Magellan-RF");
-  auto esde = Train(context, "SAS-ESDE");  // sentence family: no token caches
+  auto esde = Train(context, "SAS-ESDE");  // sentence family: no token columns
 
   auto score_one = [&service](const data::LabeledPair& pair) {
     double score = -1.0;

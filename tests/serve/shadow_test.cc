@@ -40,8 +40,6 @@ class ShadowTest : public ::testing::Test {
 
   static std::shared_ptr<const matchers::TrainedModel> Train(
       const std::string& name) {
-    context_->left().Thaw();
-    context_->right().Thaw();
     auto trained = matchers::TrainServableMatcher(name, *context_);
     EXPECT_TRUE(trained.ok()) << trained.status();
     return std::shared_ptr<const matchers::TrainedModel>(std::move(*trained));
@@ -162,16 +160,12 @@ TEST_F(ShadowTest, AnyShadowFaultIsAnImmediateRollbackVerdict) {
 TEST_F(ShadowTest, ServicePromotesPassingCandidateViaHotSwap) {
   matchers::MatchingContext context(task_);
   MatchService service(&context);
-  context.left().Thaw();
-  context.right().Thaw();
   auto primary = matchers::TrainServableMatcher("Magellan-DT", context);
   ASSERT_TRUE(primary.ok());
   ASSERT_TRUE(service
                   .SwapModel(std::shared_ptr<const matchers::TrainedModel>(
                       std::move(*primary)))
                   .ok());
-  context.left().Thaw();
-  context.right().Thaw();
   auto trained = matchers::TrainServableMatcher("SA-ESDE", context);
   ASSERT_TRUE(trained.ok());
   std::shared_ptr<const matchers::TrainedModel> candidate(
@@ -240,14 +234,10 @@ TEST_F(ShadowTest, ServicePromotesPassingCandidateViaHotSwap) {
 TEST_F(ShadowTest, FaultStormRollsBackAndLeavesCurrentBitIdentical) {
   matchers::MatchingContext context(task_);
   MatchService service(&context);
-  context.left().Thaw();
-  context.right().Thaw();
   auto trained = matchers::TrainServableMatcher("Magellan-DT", context);
   ASSERT_TRUE(trained.ok());
   std::shared_ptr<const matchers::TrainedModel> primary(std::move(*trained));
   ASSERT_TRUE(service.SwapModel(primary).ok());
-  context.left().Thaw();
-  context.right().Thaw();
   auto candidate_trained = matchers::TrainServableMatcher("SB-ESDE", context);
   ASSERT_TRUE(candidate_trained.ok());
   std::shared_ptr<const matchers::TrainedModel> candidate(

@@ -72,8 +72,6 @@ matchers::MatchingContext* SnapshotTest::context_ = nullptr;
 TEST_F(SnapshotTest, EveryServableFamilyRoundTripsBitExactly) {
   for (const std::string& name : matchers::ServableMatcherNames()) {
     SCOPED_TRACE(name);
-    context_->left().Thaw();
-    context_->right().Thaw();
     auto trained = matchers::TrainServableMatcher(name, *context_);
     ASSERT_TRUE(trained.ok()) << trained.status();
 
@@ -85,8 +83,6 @@ TEST_F(SnapshotTest, EveryServableFamilyRoundTripsBitExactly) {
     EXPECT_EQ(decoded->model->kind(), (*trained)->kind());
 
     auto [scores, decisions] = ScoreAll(**trained);
-    context_->left().Thaw();
-    context_->right().Thaw();
     auto [loaded_scores, loaded_decisions] = ScoreAll(*decoded->model);
     // Bit-exact: a snapshot served anywhere must score exactly like the
     // matcher that trained it.
@@ -100,8 +96,6 @@ TEST_F(SnapshotTest, EveryServableFamilyRoundTripsBitExactly) {
 }
 
 TEST_F(SnapshotTest, CorruptionSurfacesAsLoadErrors) {
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto trained = matchers::TrainServableMatcher("Magellan-DT", *context_);
   ASSERT_TRUE(trained.ok());
   std::string bytes = EncodeSnapshot(MetadataFor(**trained), **trained);
@@ -128,6 +122,35 @@ TEST_F(SnapshotTest, CorruptionSurfacesAsLoadErrors) {
   EXPECT_FALSE(DecodeSnapshot(bytes + "zz").ok());
 }
 
+TEST_F(SnapshotTest, EsdePayloadMustCarryTheStoreQGramCap) {
+  auto trained = matchers::TrainServableMatcher("SAQ-ESDE", *context_);
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  BlobWriter writer;
+  matchers::SerializeTrainedModel(**trained, &writer);
+  std::string payload = writer.Release();
+  // kind tag (u8), variant (u8), sentence dim (u64), seed (u64), then the
+  // q-gram character cap (u64).
+  constexpr size_t kCapOffset = 1 + 1 + 8 + 8;
+  std::string cap_bytes = payload.substr(kCapOffset, 8);
+  BlobReader cap_reader(cap_bytes);
+  auto cap = cap_reader.ReadU64();
+  ASSERT_TRUE(cap.ok());
+  EXPECT_EQ(*cap, data::ColumnarStore::kQGramCharCap);
+
+  BlobReader reader(payload);
+  EXPECT_TRUE(matchers::DeserializeTrainedModel(&reader).ok());
+  // Any other cap names a q-gram space the store does not build.
+  for (uint64_t other : {uint64_t{0}, uint64_t{159}, uint64_t{161}}) {
+    BlobWriter patched;
+    patched.WriteU64(other);
+    std::string bytes = payload;
+    bytes.replace(kCapOffset, 8, patched.data());
+    BlobReader bad(bytes);
+    auto decoded = matchers::DeserializeTrainedModel(&bad);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kIOError) << other;
+  }
+}
+
 TEST_F(SnapshotTest, RepositoryVersionsAndCurrentPointer) {
   std::string root =
       ::testing::TempDir() + "/rlbench_repo_" + std::to_string(::getpid());
@@ -137,8 +160,6 @@ TEST_F(SnapshotTest, RepositoryVersionsAndCurrentPointer) {
             StatusCode::kNotFound);
   EXPECT_TRUE(repository.ListVersions("Magellan-DT")->empty());
 
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto trained = matchers::TrainServableMatcher("Magellan-DT", *context_);
   ASSERT_TRUE(trained.ok());
   SnapshotMetadata metadata = MetadataFor(**trained);
@@ -194,11 +215,7 @@ TEST_F(SnapshotTest, RepositoryVersionsAndCurrentPointer) {
 }
 
 TEST_F(SnapshotTest, HotSwapSlotHandsBackPreviousModel) {
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto first = matchers::TrainServableMatcher("Magellan-DT", *context_);
-  context_->left().Thaw();
-  context_->right().Thaw();
   auto second = matchers::TrainServableMatcher("SA-ESDE", *context_);
   ASSERT_TRUE(first.ok() && second.ok());
 

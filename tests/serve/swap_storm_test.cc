@@ -1,5 +1,5 @@
-// Hot-swap storm: repeated cross-family swaps (each one a full feature-
-// cache re-warm) while a seeded fault storm batters the serve path. The
+// Hot-swap storm: repeated cross-family swaps (each one re-preparing the
+// context for every installed family) while a seeded fault storm batters the serve path. The
 // storm may fail individual requests, but every request that succeeds
 // must carry the exact score bits of the model installed at the time —
 // at 1, 2 and 7 threads, with an identical fault schedule.
@@ -43,8 +43,6 @@ class SwapStormTest : public ::testing::Test {
 
   static std::shared_ptr<const matchers::TrainedModel> Train(
       const matchers::MatchingContext& context, const std::string& name) {
-    context.left().Thaw();
-    context.right().Thaw();
     auto trained = matchers::TrainServableMatcher(name, context);
     EXPECT_TRUE(trained.ok()) << trained.status();
     return std::shared_ptr<const matchers::TrainedModel>(std::move(*trained));

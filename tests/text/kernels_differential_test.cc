@@ -30,6 +30,7 @@
 #include "ml/dataset.h"
 #include "ml/mlp.h"
 #include "obs/metrics.h"
+#include "support/row_oracle.h"
 #include "text/qgrams.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -401,8 +402,7 @@ TEST(KernelsDifferentialTest, ColumnarFeaturesInvariantAcrossThreadsAndGates) {
       std::vector<float> row(dim);
       matchers::MagellanFeaturesColumnar(context.columnar(), pair, row);
       // Row-oriented scalar reference, same pair.
-      auto reference =
-          matchers::MagellanFeatures(context.left(), context.right(), pair);
+      auto reference = oracle::MagellanFeatures(task.left(), task.right(), pair);
       for (size_t f = 0; f < dim; ++f) {
         EXPECT_EQ(row[f], reference[f]) << "feature " << f;
       }
@@ -423,9 +423,8 @@ TEST(KernelsDifferentialTest, ColumnarFeaturesInvariantAcrossThreadsAndGates) {
     SetParallelThreads(config.threads);
     obs::Metrics::SetEnabled(config.metrics);
     if (config.faults) {
-      // Degrades the cache warm-up to a serial fill; values must not move.
-      ASSERT_TRUE(
-          fault::SetSpec("seed=7;data/feature_cache/warm=alloc:1").ok());
+      // Degrades the store build to a serial fill; values must not move.
+      ASSERT_TRUE(fault::SetSpec("seed=7;data/columnar/fill=alloc:1").ok());
     }
     std::vector<float> got = extract();
     fault::Clear();

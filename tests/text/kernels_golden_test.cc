@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "data/columnar.h"
-#include "data/feature_cache.h"
 #include "data/file_source.h"
 #include "data/record.h"
 #include "data/task.h"
@@ -87,9 +86,7 @@ Corpus LoadCorpus() {
 // The full cross product, so the expected file covers every record against
 // every record (including the adversarial empty / numeric / unicode rows).
 std::vector<std::vector<float>> ExtractAllPairs(const Corpus& corpus) {
-  data::RecordFeatureCache lcache(&corpus.left);
-  data::RecordFeatureCache rcache(&corpus.right);
-  data::ColumnarStore store(lcache, rcache);
+  data::ColumnarStore store(corpus.left, corpus.right);
   size_t dim =
       store.num_attrs() * matchers::kMagellanFeaturesPerAttr;
   std::vector<std::vector<float>> rows;
