@@ -1,10 +1,11 @@
 // Scaling microbenchmark for the deterministic parallel layer: times the
-// two hottest call sites — the O(n^2) complexity measures and Magellan
-// batch feature extraction — at 1, 2, 4, and 8 threads, verifies the
-// results are bit-identical across the sweep, and records the trajectory
-// to bench_results/BENCH_parallel.json. Speedups are honest wall-clock
-// numbers; on a 1-core host they hover near 1.0 by construction (the
-// pool adds threads, the kernel has nowhere to run them).
+// two hottest kernel call sites — the O(n^2) complexity measures and
+// Magellan batch feature extraction — and the matcher line-up fan-out
+// (core::ScoreLineup, one pool chunk per matcher) at 1, 2, 4, and 8
+// threads, verifies the results are bit-identical across the sweep, and
+// records the trajectory to bench_results/BENCH_parallel.json. Speedups
+// are honest wall-clock numbers; on a 1-core host they hover near 1.0 by
+// construction (the pool adds threads, the work has nowhere to run).
 //
 // Flags: --scale (default 0.4), --sample (default 1500), --repeats
 //        (default 3: best-of), --dataset (default Ds1)
@@ -20,9 +21,11 @@
 #include "data/file_source.h"
 #include "core/complexity.h"
 #include "core/linearity.h"
+#include "core/practical.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "matchers/context.h"
+#include "matchers/registry.h"
 #include "obs/metrics.h"
 
 using namespace rlbench;
@@ -30,6 +33,10 @@ using namespace rlbench;
 namespace {
 
 constexpr size_t kThreadSweep[] = {1, 2, 4, 8};
+
+// DL epoch budget of the timed line-up: a tenth of the paper's, so the
+// sweep stays within a minute while the DL rows still dominate it.
+constexpr double kLineupEpochScale = 0.1;
 
 // Best-of-`repeats` wall time of one closure.
 template <typename Fn>
@@ -81,6 +88,7 @@ int main(int argc, char** argv) {
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("sample", static_cast<int64_t>(sample));
   run.manifest().AddConfig("repeats", static_cast<int64_t>(repeats));
+  run.manifest().AddConfig("lineup_epoch_scale", kLineupEpochScale);
 
   const auto* spec = datagen::FindExistingBenchmark(dataset);
   if (spec == nullptr) {
@@ -104,7 +112,11 @@ int main(int argc, char** argv) {
 
   std::vector<double> complexity_seconds;
   std::vector<double> feature_seconds;
+  std::vector<double> lineup_seconds;
   double reference_average = 0.0;
+  std::vector<double> reference_f1s;
+  matchers::RegistryOptions lineup_options;
+  lineup_options.epoch_scale = kLineupEpochScale;
   run.manifest().BeginPhase("sweep");
   for (size_t threads : kThreadSweep) {
     SetParallelThreads(threads);
@@ -124,8 +136,24 @@ int main(int argc, char** argv) {
       context.MagellanTrain();  // forces the parallel batch extraction
     }));
 
-    std::printf("threads=%zu complexity=%.3fs features=%.3fs\n", threads,
-                complexity_seconds.back(), feature_seconds.back());
+    // A fresh context and line-up per repeat: the lazy context builds and
+    // the matchers' own caches are part of what the fan-out runs.
+    std::vector<double> f1s;
+    lineup_seconds.push_back(BestOf(repeats, [&] {
+      matchers::MatchingContext context(&task);
+      auto lineup = matchers::BuildMatcherLineup(lineup_options);
+      f1s.clear();
+      for (const auto& score : core::ScoreLineup(context, &lineup)) {
+        f1s.push_back(score.f1);
+      }
+    }));
+    if (threads == 1) reference_f1s = f1s;
+    RLBENCH_CHECK_MSG(f1s == reference_f1s,
+                      "line-up scores drifted across thread counts");
+
+    std::printf("threads=%zu complexity=%.3fs features=%.3fs lineup=%.3fs\n",
+                threads, complexity_seconds.back(), feature_seconds.back(),
+                lineup_seconds.back());
   }
   run.manifest().EndPhase();
   SetParallelThreads(0);
@@ -138,13 +166,15 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof(buf),
                 "  \"scale\": %.3f,\n  \"sample\": %zu,\n"
                 "  \"labelled_pairs\": %zu,\n"
+                "  \"lineup_epoch_scale\": %.3f,\n"
                 "  \"hardware_concurrency\": %zu,\n",
-                scale, sample, points.size(),
+                scale, sample, points.size(), kLineupEpochScale,
                 static_cast<size_t>(std::thread::hardware_concurrency()));
   json += buf;
   json += "  \"workloads\": [\n";
   json += WorkloadJson("complexity_measures", complexity_seconds, false);
-  json += WorkloadJson("magellan_features", feature_seconds, true);
+  json += WorkloadJson("magellan_features", feature_seconds, false);
+  json += WorkloadJson("matcher_lineup", lineup_seconds, true);
   json += "  ]\n}\n";
   Status write = data::FileSource::WriteAtomic(path, json);
   if (!write.ok()) {

@@ -14,7 +14,8 @@
 #      retrained, snapshot round-tripped, shadow-promoted, and a faulted
 #      shadow window rolled back; the drift_* manifest keys validated
 #   5. TSan build + the concurrency-bearing tests (parallel pool, columnar
-#      store reads, thread-count invariance, metrics shards)
+#      store reads, racing first use of a matching context's lazy members,
+#      thread-count invariance incl. the matcher line-up, metrics shards)
 #   6. observability end-to-end: one bench with RLBENCH_METRICS +
 #      RLBENCH_TRACE, manifest + trace validated by
 #      tools/validate_manifest.py
@@ -185,16 +186,19 @@ cmake -B "${TSAN_DIR}" -S "${REPO_ROOT}" \
   -DRLBENCH_SANITIZE="thread" \
   -DRLBENCH_WERROR=ON
 cmake --build "${TSAN_DIR}" -j "${JOBS}" --target \
-  common_test data_test core_test obs_test
-# Only the tests that exercise the pool and the columnar store's reads;
-# the full suite already ran under ASan/UBSan above. TSan halts on the
-# first race, so a pass here is a proof of race-freedom for these paths.
+  common_test data_test core_test obs_test matchers_test
+# Only the tests that exercise the pool, the columnar store's reads and
+# the context's once-built members; the full suite already ran under
+# ASan/UBSan above. TSan halts on the first race, so a pass here is a
+# proof of race-freedom for these paths.
 (
   cd "${TSAN_DIR}"
   TSAN_OPTIONS="halt_on_error=1" ./tests/common_test \
     --gtest_filter='Parallel*:SplitSeed*'
   TSAN_OPTIONS="halt_on_error=1" ./tests/data_test \
     --gtest_filter='ColumnarStoreTest.*'
+  TSAN_OPTIONS="halt_on_error=1" ./tests/matchers_test \
+    --gtest_filter='ContextTest.*'
   TSAN_OPTIONS="halt_on_error=1" ./tests/core_test \
     --gtest_filter='ThreadInvarianceTest.*'
   # The lock-free metric shards and per-thread trace buffers under real

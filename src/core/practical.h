@@ -32,7 +32,11 @@ struct PracticalMeasures {
 
 PracticalMeasures ComputePractical(const std::vector<MatcherScore>& scores);
 
-/// Run every matcher of the line-up on the task and collect the scores.
+/// Run every matcher of the line-up on the task and collect the scores, in
+/// line-up order. Each entry is one pool chunk, dispatched longest-first
+/// (DL rows, higher epoch count first); scores are identical at any width.
+/// The first exception thrown by any entry is rethrown here after the
+/// entries in flight finish.
 std::vector<MatcherScore> ScoreLineup(
     const matchers::MatchingContext& context,
     std::vector<matchers::RegisteredMatcher>* lineup);

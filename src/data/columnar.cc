@@ -260,14 +260,15 @@ void ColumnarStore::FillTokenColumns(size_t side, RecordHashes* hashes) {
 }
 
 void ColumnarStore::EnsureQGrams() const {
-  if (qgrams_built_) return;
-  RLBENCH_TRACE_SPAN("data/columnar/qgrams");
-  BuildQGramColumns(kLeft);
-  BuildQGramColumns(kRight);
-  qgrams_built_ = true;
-  RLBENCH_COUNTER_ADD("columnar/qgram_hashes",
-                      sides_[kLeft].qgram_all.size() +
-                          sides_[kRight].qgram_all.size());
+  std::call_once(qgrams_once_, [this] {
+    RLBENCH_TRACE_SPAN("data/columnar/qgrams");
+    BuildQGramColumns(kLeft);
+    BuildQGramColumns(kRight);
+    qgrams_built_ = true;
+    RLBENCH_COUNTER_ADD("columnar/qgram_hashes",
+                        sides_[kLeft].qgram_all.size() +
+                            sides_[kRight].qgram_all.size());
+  });
 }
 
 void ColumnarStore::BuildQGramColumns(size_t side) const {

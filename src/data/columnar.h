@@ -33,7 +33,9 @@
 #define RLBENCH_SRC_DATA_COLUMNAR_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -76,9 +78,11 @@ class PackedMatrix {
 
 /// \brief Columnar token / q-gram / value columns over (left, right).
 ///
-/// Threading contract: construction and EnsureQGrams() each run on one
-/// caller (internally parallel); between them and afterwards any number of
-/// threads may call the accessors concurrently — all reads, no mutation.
+/// Threading contract: construction runs on one caller (internally
+/// parallel). Afterwards any number of threads may call the accessors
+/// concurrently, and EnsureQGrams() too: the first call builds the pools
+/// once while any concurrent first callers wait for it. Not copyable or
+/// movable.
 class ColumnarStore {
  public:
   static constexpr size_t kLeft = 0;
@@ -131,10 +135,10 @@ class ColumnarStore {
   bool NumericOk(size_t side, size_t record, size_t attr) const;
   double NumericValue(size_t side, size_t record, size_t attr) const;
 
-  /// Build the q-gram pools straight from the values. Idempotent; must not
-  /// run concurrently with readers of the pools.
+  /// Build the q-gram pools straight from the values, once. Safe to call
+  /// from several threads at once; every caller returns after the build.
   void EnsureQGrams() const;
-  bool qgrams_built() const { return qgrams_built_; }
+  bool qgrams_built() const { return qgrams_built_.load(); }
 
   /// Sorted unique q-gram hashes over the concatenated record text,
   /// capped at kQGramCharCap characters, q in [kMinQ, kMaxQ].
@@ -192,7 +196,8 @@ class ColumnarStore {
   size_t num_attrs_ = 0;
   std::vector<uint64_t> vocab_;
   mutable std::array<SideColumns, 2> sides_;
-  mutable bool qgrams_built_ = false;
+  mutable std::once_flag qgrams_once_;
+  mutable std::atomic<bool> qgrams_built_{false};
 };
 
 // The accessors below are defined inline: the batch extraction loops call

@@ -13,22 +13,26 @@ MatchingContext::MatchingContext(const data::MatchingTask* task)
     : task_(task), columnar_(task->left(), task->right()) {}
 
 const text::TfIdfModel& MatchingContext::tfidf() const {
-  if (tfidf_) return *tfidf_;
-  RLBENCH_TRACE_SPAN("context/tfidf");
-  text::TfIdfModel model;
-  for (size_t side :
-       {data::ColumnarStore::kLeft, data::ColumnarStore::kRight}) {
-    for (size_t r = 0; r < columnar_.num_records(side); ++r) {
-      model.AddDocument(columnar_.TokenSeqAll(side, r));
+  std::call_once(tfidf_once_, [this] {
+    RLBENCH_TRACE_SPAN("context/tfidf");
+    text::TfIdfModel model;
+    for (size_t side :
+         {data::ColumnarStore::kLeft, data::ColumnarStore::kRight}) {
+      for (size_t r = 0; r < columnar_.num_records(side); ++r) {
+        model.AddDocument(columnar_.TokenSeqAll(side, r));
+      }
     }
-  }
-  model.Finalize();
-  tfidf_.emplace(std::move(model));
+    model.Finalize();
+    tfidf_.emplace(std::move(model));
+  });
   return *tfidf_;
 }
 
 void MatchingContext::EnsureMagellan() const {
-  if (magellan_train_) return;
+  std::call_once(magellan_once_, [this] { BuildMagellan(); });
+}
+
+void MatchingContext::BuildMagellan() const {
   RLBENCH_TRACE_SPAN("context/magellan_features");
   size_t dim = task_->left().schema().num_attributes() *
                kMagellanFeaturesPerAttr;

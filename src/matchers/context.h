@@ -5,6 +5,7 @@
 #ifndef RLBENCH_SRC_MATCHERS_CONTEXT_H_
 #define RLBENCH_SRC_MATCHERS_CONTEXT_H_
 
+#include <mutex>
 #include <optional>
 
 #include "data/columnar.h"
@@ -17,8 +18,10 @@ namespace rlbench::matchers {
 /// \brief Read-only context shared by all matchers evaluating one task.
 ///
 /// The lazily built members (TF-IDF, Magellan datasets, q-gram pools) are
-/// filled by the first caller; their first use must not race with other
-/// readers of the same context.
+/// built once, by the first caller; any number of threads may make that
+/// first call at once (the others wait for the build), so the matchers of
+/// one line-up can share a context across pool chunks. Not copyable or
+/// movable.
 class MatchingContext {
  public:
   explicit MatchingContext(const data::MatchingTask* task);
@@ -41,10 +44,13 @@ class MatchingContext {
 
  private:
   void EnsureMagellan() const;
+  void BuildMagellan() const;
 
   const data::MatchingTask* task_;
   data::ColumnarStore columnar_;
+  mutable std::once_flag tfidf_once_;
   mutable std::optional<text::TfIdfModel> tfidf_;
+  mutable std::once_flag magellan_once_;
   mutable std::optional<ml::Dataset> magellan_train_;
   mutable std::optional<ml::Dataset> magellan_valid_;
   mutable std::optional<ml::Dataset> magellan_test_;

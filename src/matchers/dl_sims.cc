@@ -456,6 +456,12 @@ std::vector<uint8_t> DlMatcher::Run(const MatchingContext& context) {
   // per-row PredictScore loop (the differential tests pin it).
   std::vector<double> scores(test.size());
   mlp.PredictScoresBatch(test, scores);
+  // The encoder and both caches are per-task state and are dead once the
+  // test set is scored: release them, so a line-up that keeps every
+  // matcher alive (and trains several at once) does not keep their caches.
+  token_cache_ = {};
+  rep_cache_ = {};
+  dynamic_model_.reset();
 
   if (method_ == DlMethod::kGnem) {
     // Global step: reason jointly over all candidate pairs that share a

@@ -84,7 +84,7 @@ std::vector<RegisteredMatcher> BuildMatcherLineup(
     auto add_dl = [&](DlMethod method, int epochs) {
       lineup.push_back({std::make_unique<DlMatcher>(method, scaled(epochs),
                                                     dl_options),
-                        MatcherGroup::kDeepLearning});
+                        MatcherGroup::kDeepLearning, scaled(epochs)});
     };
     // The epoch pairs follow Table IV: default-from-paper and 40 (10/40 for
     // GNEM and HierMatcher).

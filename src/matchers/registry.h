@@ -34,6 +34,9 @@ enum class MatcherGroup { kDeepLearning, kClassicMl, kLinear, kZeroShot };
 struct RegisteredMatcher {
   std::unique_ptr<Matcher> matcher;
   MatcherGroup group;
+  /// Training epochs of a DL row (0 for the other families): the fixed
+  /// longest-first key core::ScoreLineup dispatches the line-up by.
+  int epochs = 0;
 };
 
 /// Instantiate the full line-up.

@@ -15,10 +15,12 @@
 #include "common/parallel.h"
 #include "core/complexity.h"
 #include "core/linearity.h"
+#include "core/practical.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "matchers/context.h"
 #include "matchers/esde.h"
+#include "matchers/registry.h"
 
 namespace rlbench::core {
 namespace {
@@ -133,6 +135,44 @@ TEST(ThreadInvarianceTest, AllMeasuresBitIdenticalAt1_2_7Threads) {
 
   ExpectIdentical(base, Measure(task, 2), 2);
   ExpectIdentical(base, Measure(task, 7), 7);
+}
+
+// The full line-up at a reduced epoch budget, scored at one thread count.
+// A fresh context per call, so the lazy TF-IDF, Magellan and q-gram builds
+// are first reached from inside the line-up fan-out.
+std::vector<MatcherScore> ScoreLineupAt(const data::MatchingTask& task,
+                                        size_t threads) {
+  SetParallelThreads(threads);
+  matchers::MatchingContext context(&task);
+  matchers::RegistryOptions options;
+  options.epoch_scale = 0.1;
+  auto lineup = matchers::BuildMatcherLineup(options);
+  auto scores = ScoreLineup(context, &lineup);
+  // Scores come back in line-up order, not in dispatch order.
+  EXPECT_EQ(scores.size(), lineup.size());
+  for (size_t i = 0; i < scores.size() && i < lineup.size(); ++i) {
+    EXPECT_EQ(scores[i].name, lineup[i].matcher->name());
+  }
+  SetParallelThreads(0);
+  return scores;
+}
+
+TEST(ThreadInvarianceTest, LineupScoresBitIdenticalAt1_2_7Threads) {
+  auto task = datagen::BuildExistingBenchmark(
+      *datagen::FindExistingBenchmark("Ds5"), 0.25);
+
+  std::vector<MatcherScore> base = ScoreLineupAt(task, 1);
+  ASSERT_FALSE(base.empty());
+  for (size_t threads : {size_t{2}, size_t{7}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<MatcherScore> other = ScoreLineupAt(task, threads);
+    ASSERT_EQ(base.size(), other.size());
+    for (size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(base[i].name, other[i].name);
+      EXPECT_EQ(base[i].group, other[i].group);
+      EXPECT_EQ(base[i].f1, other[i].f1) << base[i].name;
+    }
+  }
 }
 
 }  // namespace
