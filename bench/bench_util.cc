@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -105,14 +106,15 @@ std::optional<std::vector<CachedScore>> LoadScores(const std::string& name) {
   return scores;
 }
 
-BenchRun::BenchRun(const char* name) : manifest_(name) {
+BenchRun::BenchRun(const char* name, std::string summary_file)
+    : manifest_(name), summary_file_(std::move(summary_file)) {
   obs::SetCurrentThreadName("main");
 }
 
 BenchRun::~BenchRun() { Finish(); }
 
-void BenchRun::Finish() {
-  if (finished_) return;
+bool BenchRun::Finish() {
+  if (finished_) return written_;
   finished_ = true;
   manifest_.set_threads(ParallelThreadCount());
   manifest_.set_hardware_concurrency(std::thread::hardware_concurrency());
@@ -130,10 +132,13 @@ void BenchRun::Finish() {
   manifest_.Finalize();
   double seconds = manifest_.TotalSeconds();
   std::string manifest_path =
-      ResultsDir() + "/" + manifest_.name() + ".manifest.json";
+      ResultsDir() + "/" +
+      (summary_file_.empty() ? manifest_.name() + ".manifest.json"
+                             : summary_file_);
   Status write = data::FileSource::WriteAtomic(manifest_path,
                                                manifest_.ToJson());
-  if (!write.ok()) {
+  written_ = write.ok();
+  if (!written_) {
     std::fprintf(stderr, "bench: cannot write manifest %s: %s\n",
                  manifest_path.c_str(), write.ToString().c_str());
     manifest_path.clear();
@@ -146,6 +151,7 @@ void BenchRun::Finish() {
   if (!trace_path.empty()) {
     std::printf("[trace: %s]\n", trace_path.c_str());
   }
+  return written_;
 }
 
 size_t ForEachDataset(BenchRun& run, const std::vector<std::string>& ids,

@@ -64,22 +64,27 @@ std::optional<std::vector<CachedScore>> LoadScores(const std::string& name);
 ///   }
 ///
 /// Finish() fills in thread count / hardware concurrency, writes the
-/// Chrome trace when RLBENCH_TRACE is set, and always writes
-/// ResultsDir()/<name>.manifest.json (atomically, via
-/// data::FileSource::WriteAtomic).
+/// Chrome trace when RLBENCH_TRACE is set, and always writes the manifest
+/// (atomically, via data::FileSource::WriteAtomic) to
+/// ResultsDir()/<summary_file> — a bench's committed BENCH_*.json, whose
+/// measurements go in through manifest().AddResult() — or, without one,
+/// to ResultsDir()/<name>.manifest.json.
 class BenchRun {
  public:
-  explicit BenchRun(const char* name);
+  explicit BenchRun(const char* name, std::string summary_file = "");
   ~BenchRun();
 
   obs::RunManifest& manifest() { return manifest_; }
 
-  /// Writes trace + manifest and prints the epilogue; idempotent.
-  void Finish();
+  /// Writes trace + manifest and prints the epilogue; idempotent. False
+  /// when the manifest could not be written (benches then exit non-zero).
+  bool Finish();
 
  private:
   obs::RunManifest manifest_;
+  std::string summary_file_;
   bool finished_ = false;
+  bool written_ = false;
 };
 
 // --- Graceful per-dataset degradation ---------------------------------------

@@ -3,7 +3,8 @@
 // pipeline in each blocking mode and report throughput — records/sec into
 // the spill, candidate pairs/sec through the scoring kernels — plus peak
 // RSS, which stays bounded by the shard budget instead of the dataset
-// size. Results land in bench_results/BENCH_bulk.json; every shard also
+// size. Results land in the run manifest, bench_results/BENCH_bulk.json;
+// every shard also
 // writes its own run manifest (bench_results/macro_bulk_<mode>.shard_NN
 // .manifest.json) so a degraded shard is visible in the artefacts, not
 // just the exit code.
@@ -25,7 +26,6 @@
 #include "bulk/resolver.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "data/file_source.h"
 #include "datagen/bulk_source.h"
 #include "datagen/spec.h"
 #include "obs/resource.h"
@@ -46,18 +46,8 @@ struct ModeReport {
   std::string error;
 };
 
-std::string JsonNumber(const char* indent, const char* key, double value,
-                       bool comma = true) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "%s\"%s\": %.4f%s\n", indent, key, value,
-                comma ? "," : "");
-  return buf;
-}
-
-std::string JsonCount(const char* indent, const char* key, uint64_t value,
-                      bool comma = true) {
-  return std::string(indent) + "\"" + key + "\": " + std::to_string(value) +
-         (comma ? ",\n" : "\n");
+double PerSecond(uint64_t count, double seconds) {
+  return seconds > 0.0 ? static_cast<double>(count) / seconds : 0.0;
 }
 
 }  // namespace
@@ -90,7 +80,7 @@ int main(int argc, char** argv) {
   datagen::BulkSourceGenerator source(spec);
   uint64_t total_records = source.size(0) + source.size(1);
 
-  benchutil::BenchRun run("macro_bulk");
+  benchutil::BenchRun run("macro_bulk", "BENCH_bulk.json");
   run.manifest().set_seed(seed);
   run.manifest().AddDataset(spec.id);
   run.manifest().AddConfig("records", static_cast<int64_t>(total_records));
@@ -173,46 +163,29 @@ int main(int argc, char** argv) {
               static_cast<double>(peak_rss) / (1 << 20),
               static_cast<double>(bytes_streamed) / (1 << 20));
 
-  std::string json = "{\n  \"bench\": \"macro_bulk\",\n";
-  json += JsonCount("  ", "records", total_records);
-  json += JsonCount("  ", "shards", shards);
-  json += JsonCount("  ", "budget_mb", budget_mb);
-  json += JsonCount("  ", "bytes_streamed", bytes_streamed);
-  json += JsonCount("  ", "peak_rss_bytes",
-                    static_cast<uint64_t>(peak_rss < 0 ? 0 : peak_rss));
-  json += "  \"modes\": [\n";
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const ModeReport& r = reports[i];
-    json += "    {\n";
-    json += "      \"mode\": \"" + r.mode + "\",\n";
-    json += "      \"ok\": " + std::string(r.ok ? "true" : "false") + ",\n";
-    json += JsonNumber("      ", "seconds", r.seconds);
-    json += JsonNumber("      ", "records_per_sec",
-                       r.seconds > 0.0
-                           ? static_cast<double>(total_records) / r.seconds
-                           : 0.0);
-    json += JsonNumber("      ", "candidates_per_sec",
-                       r.seconds > 0.0
-                           ? static_cast<double>(r.candidates) / r.seconds
-                           : 0.0);
-    json += JsonCount("      ", "candidate_pairs", r.candidates);
-    json += JsonCount("      ", "matched_pairs", r.matched);
-    json += JsonCount("      ", "spilled_bytes", r.spilled_bytes);
-    json += JsonCount("      ", "shards_failed", r.shards_failed,
-                      /*comma=*/false);
-    json += i + 1 < reports.size() ? "    },\n" : "    }\n";
+  using obs::JsonValue;
+  auto count = [](uint64_t n) {
+    return JsonValue::Number(static_cast<double>(n));
+  };
+  std::vector<JsonValue> modes_json;
+  for (const ModeReport& r : reports) {
+    modes_json.push_back(JsonValue::Object({
+        {"mode", JsonValue::String(r.mode)},
+        {"ok", JsonValue::Bool(r.ok)},
+        {"seconds", JsonValue::Number(r.seconds)},
+        {"records_per_sec",
+         JsonValue::Number(PerSecond(total_records, r.seconds))},
+        {"candidates_per_sec",
+         JsonValue::Number(PerSecond(r.candidates, r.seconds))},
+        {"candidate_pairs", count(r.candidates)},
+        {"matched_pairs", count(r.matched)},
+        {"spilled_bytes", count(r.spilled_bytes)},
+        {"shards_failed", count(r.shards_failed)},
+    }));
   }
-  json += "  ]\n}\n";
-  std::string path = benchutil::ResultsDir() + "/BENCH_bulk.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  run.Finish();
+  run.manifest().AddResult("bytes_streamed", count(bytes_streamed));
+  run.manifest().AddResult("modes", JsonValue::Array(std::move(modes_json)));
+  if (!run.Finish()) return 1;
 
   for (const ModeReport& report : reports) {
     if (!report.ok || report.shards_failed == report.shards) return 1;

@@ -13,7 +13,8 @@
 // snapshot round-trips bit-exactly, shadow-gate the candidate, and serve
 // until the ladder hot-swaps it in.
 //
-// Phases / measurements (bench_results/BENCH_drift.json):
+// Phases / measurements (the results block of the run manifest,
+// bench_results/BENCH_drift.json):
 //   baseline    — the same stream with drift disabled: scores + seconds.
 //   monitor     — drift enabled, no reaction: bit-identity of served
 //                 scores vs baseline, windows-to-trigger detection
@@ -43,7 +44,6 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "data/columnar.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "fault/failpoint.h"
@@ -133,8 +133,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  benchutil::BenchRun run("micro_drift");
-  run.manifest().AddConfig("dataset", dataset);
+  benchutil::BenchRun run("micro_drift", "BENCH_drift.json");
+  run.manifest().AddDataset(dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("matcher", matcher);
   run.manifest().AddConfig("retrain", retrain);
@@ -372,24 +372,27 @@ int main(int argc, char** argv) {
   }
 
   serve::DriftStatus final_status = service.DriftSnapshot();
-  run.manifest().AddConfig("drift_state", final_status.state);
-  run.manifest().AddConfig(
-      "drift_windows", static_cast<int64_t>(final_status.windows));
-  run.manifest().AddConfig(
-      "drift_transitions", static_cast<int64_t>(final_status.transitions));
-  run.manifest().AddConfig(
-      "drift_triggers", static_cast<int64_t>(final_status.triggers));
-  run.manifest().AddConfig("drift_windows_to_trigger",
-                           static_cast<int64_t>(windows_to_trigger));
-  run.manifest().AddConfig("drift_best_linear_f1",
-                           trigger.best_linear_f1);
-  run.manifest().AddConfig("drift_complexity_avg",
-                           trigger.complexity_avg);
-  run.manifest().AddConfig("drift_nlb", trigger.nlb);
-  run.manifest().AddConfig("drift_lbm", trigger.lbm);
-  run.manifest().AddConfig("drift_sampling_overhead_ratio", overhead_ratio);
-  run.manifest().AddConfig("drift_swap_recovery_requests",
-                           static_cast<int64_t>(recovery_pairs / chunk));
+  using obs::JsonValue;
+  auto result = [&run](const char* key, double value) {
+    run.manifest().AddResult(key, JsonValue::Number(value));
+  };
+  run.manifest().AddResult("drift_state",
+                           JsonValue::String(final_status.state));
+  result("drift_windows", static_cast<double>(final_status.windows));
+  result("drift_transitions", static_cast<double>(final_status.transitions));
+  result("drift_triggers", static_cast<double>(final_status.triggers));
+  result("drift_windows_to_trigger", static_cast<double>(windows_to_trigger));
+  result("drift_best_linear_f1", trigger.best_linear_f1);
+  result("drift_complexity_avg", trigger.complexity_avg);
+  result("drift_nlb", trigger.nlb);
+  result("drift_lbm", trigger.lbm);
+  result("drift_sampling_overhead_ratio", overhead_ratio);
+  result("drift_swap_recovery_requests",
+         static_cast<double>(recovery_pairs / chunk));
+  result("baseline_seconds", baseline_seconds);
+  result("monitor_seconds", monitor_seconds);
+  run.manifest().AddResult("fault_storm_rolled_back",
+                           JsonValue::Bool(storm_rolled_back));
 
   std::printf("%s on %s (scale %.2f), window %zu pairs\n", matcher.c_str(),
               dataset.c_str(), scale, window);
@@ -403,43 +406,5 @@ int main(int argc, char** argv) {
               retrain.c_str(), recovery_pairs / chunk,
               smoke ? ", faulted episode rolled back" : "");
 
-  char buf[512];
-  std::string json = "{\n  \"bench\": \"drift\",\n";
-  json += "  \"dataset\": \"" + dataset + "\",\n";
-  json += "  \"matcher\": \"" + matcher + "\",\n";
-  json += "  \"retrain\": \"" + retrain + "\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"scale\": %.3f,\n  \"window_pairs\": %zu,\n"
-                "  \"era_windows\": %zu,\n",
-                scale, window, era_windows);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"windows_to_trigger\": %llu,\n"
-                "  \"trigger_best_linear_f1\": %.6f,\n"
-                "  \"trigger_complexity_avg\": %.6f,\n"
-                "  \"trigger_nlb\": %.6f,\n  \"trigger_lbm\": %.6f,\n",
-                static_cast<unsigned long long>(windows_to_trigger),
-                trigger.best_linear_f1, trigger.complexity_avg, trigger.nlb,
-                trigger.lbm);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"sampling_overhead_ratio\": %.4f,\n"
-                "  \"baseline_seconds\": %.4f,\n"
-                "  \"monitor_seconds\": %.4f,\n"
-                "  \"swap_recovery_requests\": %zu,\n"
-                "  \"fault_storm_rolled_back\": %s\n}\n",
-                overhead_ratio, baseline_seconds, monitor_seconds,
-                recovery_pairs / chunk, storm_rolled_back ? "true" : "false");
-  json += buf;
-  std::string path = benchutil::ResultsDir() + "/BENCH_drift.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  run.Finish();
-  return 0;
+  return run.Finish() ? 0 : 1;
 }

@@ -2,8 +2,8 @@
 // when disabled" — one relaxed atomic load per evaluation. This harness
 // measures that cost directly (ns per disabled evaluation), the armed but
 // never-firing cost (probability 0), and the end-to-end import path with
-// the layer disabled, then records everything to
-// bench_results/BENCH_fault.json for regression tracking.
+// the layer disabled, then records everything as the results block of
+// its run manifest, bench_results/BENCH_fault.json.
 //
 // Flags: --evals (default 5000000), --repeats (default 5: best-of),
 //        --scale (default 0.5, export/import workload size)
@@ -15,7 +15,6 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "data/benchmark_io.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "fault/failpoint.h"
@@ -55,7 +54,8 @@ int main(int argc, char** argv) {
   int repeats = static_cast<int>(flags.GetInt("repeats", 5));
   double scale = flags.GetDouble("scale", 0.5);
 
-  benchutil::BenchRun run("micro_fault");
+  benchutil::BenchRun run("micro_fault", "BENCH_fault.json");
+  run.manifest().AddDataset("Ds5");
   run.manifest().AddConfig("evals", static_cast<int64_t>(evals));
   run.manifest().AddConfig("repeats", static_cast<int64_t>(repeats));
   run.manifest().AddConfig("scale", scale);
@@ -104,30 +104,12 @@ int main(int argc, char** argv) {
   std::printf("export %.4fs, import %.4fs (scale %.2f, faults off)\n",
               export_seconds, import_seconds, scale);
 
-  char buf[128];
-  std::string json = "{\n  \"bench\": \"fault_overhead\",\n";
-  std::snprintf(buf, sizeof(buf), "  \"evals\": %zu,\n  \"repeats\": %d,\n",
-                evals, repeats);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"disabled_ns_per_eval\": %.4f,\n"
-                "  \"armed_zero_prob_ns_per_eval\": %.4f,\n",
-                disabled_ns, armed_ns);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"export_seconds\": %.6f,\n  \"import_seconds\": %.6f,\n"
-                "  \"scale\": %.3f\n}\n",
-                export_seconds, import_seconds, scale);
-  json += buf;
-  std::string path = benchutil::ResultsDir() + "/BENCH_fault.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  run.Finish();
-  return 0;
+  using obs::JsonValue;
+  run.manifest().AddResult("disabled_ns_per_eval",
+                           JsonValue::Number(disabled_ns));
+  run.manifest().AddResult("armed_zero_prob_ns_per_eval",
+                           JsonValue::Number(armed_ns));
+  run.manifest().AddResult("export_seconds", JsonValue::Number(export_seconds));
+  run.manifest().AddResult("import_seconds", JsonValue::Number(import_seconds));
+  return run.Finish() ? 0 : 1;
 }

@@ -1,16 +1,17 @@
 // Microbenchmark gating the ISSUE 7 kernels: every vectorized kernel is
 // timed against its retained scalar reference on real benchmark data, the
 // two paths are checked for bit-identical output while timing, and the
-// per-kernel before/after throughput lands in
-// bench_results/BENCH_kernels.json. The acceptance bar (enforced by eye /
-// CI history, not by an assert — machines differ) is >= 2x on
-// jaccard_token_ids and mlp_batch_score.
+// per-kernel before/after throughput lands in the results block of the
+// run manifest, bench_results/BENCH_kernels.json. The acceptance bar
+// (enforced by eye / CI history, not by an assert — machines differ) is
+// >= 2x on jaccard_token_ids and mlp_batch_score.
 //
 // Flags: --scale (default 1.0), --repeats (default 5: best-of),
 //        --dataset (default Ds5), --rounds (default 40: pair-set sweeps)
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -18,7 +19,6 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "data/columnar.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "matchers/context.h"
@@ -53,17 +53,8 @@ struct KernelResult {
   double vector_seconds = 0.0;
 };
 
-std::string KernelJson(const KernelResult& r, bool last) {
-  char buf[256];
-  double speedup =
-      r.vector_seconds > 0.0 ? r.scalar_seconds / r.vector_seconds : 0.0;
-  std::snprintf(buf, sizeof(buf),
-                "    {\"name\": \"%s\", \"ops\": %zu, "
-                "\"scalar_seconds\": %.6f, \"vectorized_seconds\": %.6f, "
-                "\"speedup\": %.3f}%s\n",
-                r.name, r.ops, r.scalar_seconds, r.vector_seconds, speedup,
-                last ? "" : ",");
-  return buf;
+double Speedup(const KernelResult& r) {
+  return r.vector_seconds > 0.0 ? r.scalar_seconds / r.vector_seconds : 0.0;
 }
 
 }  // namespace
@@ -75,7 +66,7 @@ int main(int argc, char** argv) {
   int rounds = static_cast<int>(flags.GetInt("rounds", 40));
   std::string dataset = flags.GetString("dataset", "Ds5");
 
-  benchutil::BenchRun run("micro_kernels");
+  benchutil::BenchRun run("micro_kernels", "BENCH_kernels.json");
   run.manifest().AddDataset(dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("repeats", static_cast<int64_t>(repeats));
@@ -302,32 +293,21 @@ int main(int argc, char** argv) {
   }
   run.manifest().EndPhase();
 
-  std::string json = "{\n  \"bench\": \"kernels\",\n";
-  json += "  \"dataset\": \"" + spec->id + "\",\n";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "  \"scale\": %.3f,\n  \"pairs\": %zu,\n",
-                scale, pairs.size());
-  json += buf;
-  json += "  \"kernels\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    json += KernelJson(results[i], i + 1 == results.size());
-    double speedup = results[i].vector_seconds > 0.0
-                         ? results[i].scalar_seconds / results[i].vector_seconds
-                         : 0.0;
+  using obs::JsonValue;
+  std::vector<JsonValue> kernels;
+  for (const KernelResult& r : results) {
     std::printf("%-20s scalar=%.4fs vectorized=%.4fs speedup=%.2fx\n",
-                results[i].name, results[i].scalar_seconds,
-                results[i].vector_seconds, speedup);
+                r.name, r.scalar_seconds, r.vector_seconds, Speedup(r));
+    kernels.push_back(JsonValue::Object({
+        {"name", JsonValue::String(r.name)},
+        {"ops", JsonValue::Number(static_cast<double>(r.ops))},
+        {"scalar_seconds", JsonValue::Number(r.scalar_seconds)},
+        {"vectorized_seconds", JsonValue::Number(r.vector_seconds)},
+        {"speedup", JsonValue::Number(Speedup(r))},
+    }));
   }
-  json += "  ]\n}\n";
-  std::string path = benchutil::ResultsDir() + "/BENCH_kernels.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  run.Finish();
-  return 0;
+  run.manifest().AddResult(
+      "pairs", JsonValue::Number(static_cast<double>(pairs.size())));
+  run.manifest().AddResult("kernels", JsonValue::Array(std::move(kernels)));
+  return run.Finish() ? 0 : 1;
 }

@@ -3,7 +3,8 @@
 // Magellan batch feature extraction — and the matcher line-up fan-out
 // (core::ScoreLineup, one pool chunk per matcher) at 1, 2, 4, and 8
 // threads, verifies the results are bit-identical across the sweep, and
-// records the trajectory to bench_results/BENCH_parallel.json. Speedups
+// records the trajectory in the results block of the run manifest,
+// bench_results/BENCH_parallel.json. Speedups
 // are honest wall-clock numbers; on a 1-core host they hover near 1.0 by
 // construction (the pool adds threads, the work has nowhere to run).
 //
@@ -11,14 +12,13 @@
 //        (default 3: best-of), --dataset (default Ds1)
 #include <cstdio>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
-#include "data/file_source.h"
 #include "core/complexity.h"
 #include "core/linearity.h"
 #include "core/practical.h"
@@ -51,24 +51,24 @@ double BestOf(int repeats, const Fn& fn) {
   return best;
 }
 
-std::string WorkloadJson(const char* name, const std::vector<double>& seconds,
-                         bool last) {
-  char buf[64];
-  std::string out = "    {\"name\": \"" + std::string(name) + "\", \"times\": [";
+obs::JsonValue WorkloadJson(const char* name,
+                            const std::vector<double>& seconds) {
+  using obs::JsonValue;
+  std::vector<JsonValue> times;
+  std::vector<JsonValue> speedups;
   for (size_t i = 0; i < seconds.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%s{\"threads\": %zu, \"seconds\": %.6f}",
-                  i == 0 ? "" : ", ", kThreadSweep[i], seconds[i]);
-    out += buf;
+    times.push_back(JsonValue::Object({
+        {"threads", JsonValue::Number(static_cast<double>(kThreadSweep[i]))},
+        {"seconds", JsonValue::Number(seconds[i])},
+    }));
+    speedups.push_back(
+        JsonValue::Number(seconds[i] > 0.0 ? seconds[0] / seconds[i] : 0.0));
   }
-  out += "], \"speedup_vs_1\": [";
-  for (size_t i = 0; i < seconds.size(); ++i) {
-    double speedup = seconds[i] > 0.0 ? seconds[0] / seconds[i] : 0.0;
-    std::snprintf(buf, sizeof(buf), "%s%.3f", i == 0 ? "" : ", ", speedup);
-    out += buf;
-  }
-  out += "]}";
-  out += last ? "\n" : ",\n";
-  return out;
+  return JsonValue::Object({
+      {"name", JsonValue::String(name)},
+      {"times", JsonValue::Array(std::move(times))},
+      {"speedup_vs_1", JsonValue::Array(std::move(speedups))},
+  });
 }
 
 }  // namespace
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   // Metrics are always on here, so the run manifest carries the parallel
   // and columnar-store counters of the sweep.
   obs::Metrics::SetEnabled(true);
-  benchutil::BenchRun run("micro_parallel");
+  benchutil::BenchRun run("micro_parallel", "BENCH_parallel.json");
   run.manifest().AddDataset(dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("sample", static_cast<int64_t>(sample));
@@ -158,32 +158,15 @@ int main(int argc, char** argv) {
   run.manifest().EndPhase();
   SetParallelThreads(0);
 
-  std::string path = benchutil::ResultsDir() + "/BENCH_parallel.json";
-  char buf[256];
-  std::string json = "{\n";
-  json += "  \"bench\": \"parallel_scaling\",\n";
-  json += "  \"dataset\": \"" + spec->id + "\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"scale\": %.3f,\n  \"sample\": %zu,\n"
-                "  \"labelled_pairs\": %zu,\n"
-                "  \"lineup_epoch_scale\": %.3f,\n"
-                "  \"hardware_concurrency\": %zu,\n",
-                scale, sample, points.size(), kLineupEpochScale,
-                static_cast<size_t>(std::thread::hardware_concurrency()));
-  json += buf;
-  json += "  \"workloads\": [\n";
-  json += WorkloadJson("complexity_measures", complexity_seconds, false);
-  json += WorkloadJson("magellan_features", feature_seconds, false);
-  json += WorkloadJson("matcher_lineup", lineup_seconds, true);
-  json += "  ]\n}\n";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  run.Finish();
-  return 0;
+  run.manifest().AddResult(
+      "labelled_pairs",
+      obs::JsonValue::Number(static_cast<double>(points.size())));
+  run.manifest().AddResult(
+      "workloads",
+      obs::JsonValue::Array({
+          WorkloadJson("complexity_measures", complexity_seconds),
+          WorkloadJson("magellan_features", feature_seconds),
+          WorkloadJson("matcher_lineup", lineup_seconds),
+      }));
+  return run.Finish() ? 0 : 1;
 }

@@ -19,7 +19,8 @@
 //                 transition fired and that requests were degraded (the
 //                 CI overload gate).
 //
-// Results land in bench_results/BENCH_serve.json for regression tracking.
+// Results land in the run manifest, bench_results/BENCH_serve.json, for
+// regression tracking.
 //
 // Flags: --dataset (default Ds3), --scale (default 0.5),
 //        --matcher (default Magellan-RF), --requests (default 2000),
@@ -35,7 +36,6 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "data/file_source.h"
 #include "datagen/catalog.h"
 #include "datagen/task_builder.h"
 #include "matchers/context.h"
@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  benchutil::BenchRun run("micro_serve");
-  run.manifest().AddConfig("dataset", dataset);
+  benchutil::BenchRun run("micro_serve", "BENCH_serve.json");
+  run.manifest().AddDataset(dataset);
   run.manifest().AddConfig("scale", scale);
   run.manifest().AddConfig("matcher", matcher);
   run.manifest().AddConfig("requests", static_cast<int64_t>(requests));
@@ -309,18 +309,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    run.manifest().AddConfig("storm_tier_full",
-                             static_cast<int64_t>(storm_full));
-    run.manifest().AddConfig("storm_tier_degraded",
-                             static_cast<int64_t>(storm_degraded));
-    run.manifest().AddConfig("storm_tier_rejected",
-                             static_cast<int64_t>(storm_rejected));
-    run.manifest().AddConfig("storm_shed_transitions",
-                             static_cast<int64_t>(storm_transitions));
-    run.manifest().AddConfig("storm_shadow_agreement", shadow_agreement);
-    run.manifest().AddConfig("storm_identity_checked",
-                             static_cast<int64_t>(identity_checked));
-
     if (smoke) {
       RLBENCH_CHECK_MSG(storm_transitions >= 1,
                         "storm smoke: no shed transition fired");
@@ -353,63 +341,29 @@ int main(int argc, char** argv) {
                 shadow_agreement, identity_checked);
   }
 
-  char buf[256];
-  std::string json = "{\n  \"bench\": \"serve\",\n";
-  json += "  \"dataset\": \"" + dataset + "\",\n";
-  json += "  \"matcher\": \"" + matcher + "\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"scale\": %.3f,\n  \"requests\": %zu,\n"
-                "  \"pairs_per_request\": %zu,\n",
-                scale, requests, pairs_per_request);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"closed_loop_pairs_per_sec\": %.2f,\n"
-                "  \"latency_p50_ms\": %.6f,\n"
-                "  \"latency_p95_ms\": %.6f,\n"
-                "  \"latency_p99_ms\": %.6f,\n",
-                closed_throughput, p50, p95, p99);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"pipelined_pairs_per_sec\": %.2f,\n"
-                "  \"pipelined_batches\": %zu,\n"
-                "  \"mean_batch_pairs\": %.3f,\n"
-                "  \"admission_rejections\": %zu",
-                pipelined_throughput, batches, mean_batch_pairs, rejected);
-  json += buf;
+  using obs::JsonValue;
+  auto result = [&run](const char* key, double value) {
+    run.manifest().AddResult(key, JsonValue::Number(value));
+  };
+  result("closed_loop_pairs_per_sec", closed_throughput);
+  result("latency_p50_ms", p50);
+  result("latency_p95_ms", p95);
+  result("latency_p99_ms", p99);
+  result("pipelined_pairs_per_sec", pipelined_throughput);
+  result("pipelined_batches", static_cast<double>(batches));
+  result("mean_batch_pairs", mean_batch_pairs);
+  result("admission_rejections", static_cast<double>(rejected));
   if (storm) {
-    std::snprintf(buf, sizeof(buf),
-                  ",\n  \"storm_pairs_per_sec\": %.2f,\n"
-                  "  \"storm_latency_p50_ms\": %.6f,\n"
-                  "  \"storm_latency_p95_ms\": %.6f,\n"
-                  "  \"storm_latency_p99_ms\": %.6f,\n",
-                  storm_throughput, storm_p50, storm_p95, storm_p99);
-    json += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"shed_tier_full\": %llu,\n"
-                  "  \"shed_tier_degraded\": %llu,\n"
-                  "  \"shed_tier_rejected\": %llu,\n"
-                  "  \"shed_transitions\": %llu,\n",
-                  static_cast<unsigned long long>(storm_full),
-                  static_cast<unsigned long long>(storm_degraded),
-                  static_cast<unsigned long long>(storm_rejected),
-                  static_cast<unsigned long long>(storm_transitions));
-    json += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"shadow_agreement_rate\": %.6f,\n"
-                  "  \"degraded_bit_identical\": %zu",
-                  shadow_agreement, identity_checked);
-    json += buf;
+    result("storm_pairs_per_sec", storm_throughput);
+    result("storm_latency_p50_ms", storm_p50);
+    result("storm_latency_p95_ms", storm_p95);
+    result("storm_latency_p99_ms", storm_p99);
+    result("storm_tier_full", static_cast<double>(storm_full));
+    result("storm_tier_degraded", static_cast<double>(storm_degraded));
+    result("storm_tier_rejected", static_cast<double>(storm_rejected));
+    result("storm_shed_transitions", static_cast<double>(storm_transitions));
+    result("storm_shadow_agreement", shadow_agreement);
+    result("storm_identity_checked", static_cast<double>(identity_checked));
   }
-  json += "\n}\n";
-  std::string path = benchutil::ResultsDir() + "/BENCH_serve.json";
-  Status write = data::FileSource::WriteAtomic(path, json);
-  if (!write.ok()) {
-    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                 write.ToString().c_str());
-    run.Finish();
-    return 1;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  run.Finish();
-  return 0;
+  return run.Finish() ? 0 : 1;
 }

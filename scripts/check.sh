@@ -8,11 +8,12 @@
 #   3. serve overload storm smoke: micro_serve --storm --smoke under
 #      ASan/UBSan — an open-loop multi-tenant burst that must walk the
 #      shed ladder (>= 1 transition, degraded traffic bit-identical to the
-#      linear fallback) with per-tier counts recorded in the manifest
+#      linear fallback) with per-tier counts recorded in the manifest's
+#      results block
 #   4. drift loop smoke: micro_drift --smoke under ASan/UBSan — a
 #      difficulty shift must be detected, the EnsembleLink candidate
 #      retrained, snapshot round-tripped, shadow-promoted, and a faulted
-#      shadow window rolled back; the drift_* manifest keys validated
+#      shadow window rolled back; the drift_* manifest results validated
 #   5. TSan build + the concurrency-bearing tests (parallel pool, columnar
 #      store reads, racing first use of a matching context's lazy members,
 #      thread-count invariance incl. the matcher line-up, metrics shards)
@@ -120,7 +121,8 @@ echo "== [3/12] serve overload storm smoke (micro_serve --storm) =="
 # at least one shed transition fired, degraded traffic exists, and every
 # sampled degraded response is bit-identical to the linear fallback run
 # directly. The manifest assertions below keep the per-tier counts
-# flowing into the artifact (so a reporting regression can't pass).
+# flowing into the artifact's results block (so a reporting regression
+# can't pass).
 STORM_DIR="${SCRATCH_ROOT}/serve_storm"
 mkdir -p "${STORM_DIR}"
 (
@@ -130,18 +132,18 @@ mkdir -p "${STORM_DIR}"
     "${BUILD_DIR}/bench/micro_serve" --storm --smoke --scale=0.2 \
     --requests=200
 )
-python3 - "${STORM_DIR}/bench_results/micro_serve.manifest.json" <<'PYEOF'
+python3 - "${STORM_DIR}/bench_results/BENCH_serve.json" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    config = json.load(f)["config"]
+    results = json.load(f)["results"]
 for key in ("storm_tier_full", "storm_tier_degraded", "storm_tier_rejected",
             "storm_shed_transitions", "storm_shadow_agreement",
             "storm_identity_checked"):
-    if key not in config:
-        sys.exit(f"storm smoke: manifest config missing {key}")
-if int(config["storm_shed_transitions"]) < 1:
+    if key not in results:
+        sys.exit(f"storm smoke: manifest results missing {key}")
+if int(results["storm_shed_transitions"]) < 1:
     sys.exit("storm smoke: manifest records no shed transitions")
-if int(config["storm_tier_degraded"]) < 1:
+if int(results["storm_tier_degraded"]) < 1:
     sys.exit("storm smoke: manifest records no degraded requests")
 print("storm manifest: per-tier counts present, ladder exercised")
 PYEOF
@@ -153,7 +155,8 @@ echo "== [4/12] drift loop smoke (micro_drift --smoke) =="
 # its snapshot round-trips bit-exactly, the shadow gate promotes it, and
 # the follow-up episode with candidate-scoring faults armed must roll
 # back. All assertions live inside the bench (RLBENCH_CHECK); the
-# validator + key checks below keep the drift_* numbers in the artifact.
+# validator + key checks below keep the drift_* numbers in the artifact
+# (the window size in config, the outcomes in results).
 DRIFT_DIR="${SCRATCH_ROOT}/drift"
 mkdir -p "${DRIFT_DIR}"
 (
@@ -163,17 +166,20 @@ mkdir -p "${DRIFT_DIR}"
     "${BUILD_DIR}/bench/micro_drift" --smoke
 )
 python3 "${REPO_ROOT}/tools/validate_manifest.py" \
-  "${DRIFT_DIR}/bench_results/micro_drift.manifest.json"
-python3 - "${DRIFT_DIR}/bench_results/micro_drift.manifest.json" <<'PYEOF'
+  "${DRIFT_DIR}/bench_results/BENCH_drift.json"
+python3 - "${DRIFT_DIR}/bench_results/BENCH_drift.json" <<'PYEOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    config = json.load(f)["config"]
-for key in ("drift_window_pairs", "drift_state", "drift_transitions",
+    manifest = json.load(f)
+config, results = manifest["config"], manifest["results"]
+if "drift_window_pairs" not in config:
+    sys.exit("drift smoke: manifest config missing drift_window_pairs")
+for key in ("drift_state", "drift_transitions",
             "drift_windows_to_trigger", "drift_sampling_overhead_ratio",
             "drift_swap_recovery_requests"):
-    if key not in config:
-        sys.exit(f"drift smoke: manifest config missing {key}")
-if int(config["drift_triggers"]) < 2:
+    if key not in results:
+        sys.exit(f"drift smoke: manifest results missing {key}")
+if int(results["drift_triggers"]) < 2:
     sys.exit("drift smoke: both drift episodes should have triggered")
 print("drift manifest: detection, recovery and rollback recorded")
 PYEOF

@@ -33,18 +33,37 @@ std::string GitDescribe() {
   return cached;
 }
 
-void AppendHistogramJson(std::string* out, const Histogram& histogram) {
-  *out += "{\"count\": " + std::to_string(histogram.Count());
-  *out += ", \"sum\": " + JsonNumber(histogram.Sum());
-  *out += ", \"min\": " + JsonNumber(histogram.Min());
-  *out += ", \"max\": " + JsonNumber(histogram.Max());
-  *out += ", \"p50\": " + JsonNumber(histogram.Percentile(0.5));
-  *out += ", \"p90\": " + JsonNumber(histogram.Percentile(0.9));
-  *out += ", \"p99\": " + JsonNumber(histogram.Percentile(0.99));
-  *out += "}";
+JsonValue HistogramJson(const Histogram& histogram) {
+  return JsonValue::Object({
+      {"count", JsonValue::Number(static_cast<double>(histogram.Count()))},
+      {"sum", JsonValue::Number(histogram.Sum())},
+      {"min", JsonValue::Number(histogram.Min())},
+      {"max", JsonValue::Number(histogram.Max())},
+      {"p50", JsonValue::Number(histogram.Percentile(0.5))},
+      {"p90", JsonValue::Number(histogram.Percentile(0.9))},
+      {"p99", JsonValue::Number(histogram.Percentile(0.99))},
+  });
+}
+
+// `,\n  "key": {` then one member per line: the layout of the sections
+// that can hold many entries.
+void AppendSection(std::string* out, const char* key,
+                   const JsonValue::Members& members) {
+  *out += ",\n  " + JsonString(key) + ": {";
+  const char* sep = "\n    ";
+  for (const auto& [name, value] : members) {
+    *out += sep + JsonString(name) + ": " + ToJson(value);
+    sep = ",\n    ";
+  }
+  *out += members.empty() ? "}" : "\n  }";
 }
 
 }  // namespace
+
+// The build's CMAKE_BUILD_TYPE, set on rlbench_obs by src/obs/CMakeLists.txt.
+#ifndef RLBENCH_BUILD_TYPE
+#define RLBENCH_BUILD_TYPE "unknown"
+#endif
 
 // The trace span inside an open phase needs a stable name string; the
 // holder owns the copy so `phases_` reallocations cannot dangle it.
@@ -61,15 +80,19 @@ RunManifest::RunManifest(std::string bench_name)
 RunManifest::~RunManifest() = default;
 
 void RunManifest::AddConfig(const std::string& key, const std::string& value) {
-  config_.emplace_back(key, JsonString(value));
+  config_.emplace_back(key, JsonValue::String(value));
 }
 
 void RunManifest::AddConfig(const std::string& key, double value) {
-  config_.emplace_back(key, JsonNumber(value));
+  config_.emplace_back(key, JsonValue::Number(value));
 }
 
 void RunManifest::AddConfig(const std::string& key, int64_t value) {
-  config_.emplace_back(key, std::to_string(value));
+  config_.emplace_back(key, JsonValue::Number(static_cast<double>(value)));
+}
+
+void RunManifest::AddResult(const std::string& key, JsonValue value) {
+  results_.emplace_back(key, std::move(value));
 }
 
 void RunManifest::BeginPhase(const std::string& phase_name) {
@@ -126,10 +149,26 @@ void RunManifest::Finalize() {
 }
 
 std::string RunManifest::ToJson() const {
+  std::vector<JsonValue> datasets;
+  for (const std::string& id : datasets_) {
+    datasets.push_back(JsonValue::String(id));
+  }
+  std::vector<JsonValue> phases;
+  for (const Phase& phase : phases_) {
+    JsonValue::Members fields = {
+        {"name", JsonValue::String(phase.name)},
+        {"seconds", JsonValue::Number(phase.seconds)},
+        {"status", JsonValue::String(phase.failed ? "failed" : "ok")}};
+    if (phase.failed) {
+      fields.emplace_back("error", JsonValue::String(phase.error));
+    }
+    phases.push_back(JsonValue::Object(std::move(fields)));
+  }
   std::string out = "{\n";
-  out += "  \"schema_version\": 2,\n";
+  out += "  \"schema_version\": 3,\n";
   out += "  \"bench\": " + JsonString(name_) + ",\n";
   out += "  \"git\": " + JsonString(GitDescribe()) + ",\n";
+  out += "  \"build_type\": " + JsonString(RLBENCH_BUILD_TYPE) + ",\n";
   out += "  \"threads\": " + std::to_string(threads_) + ",\n";
   out += "  \"hardware_concurrency\": " +
          std::to_string(hardware_concurrency_) + ",\n";
@@ -137,63 +176,32 @@ std::string RunManifest::ToJson() const {
   if (has_seed_) {
     out += "  \"seed\": " + std::to_string(seed_) + ",\n";
   }
-  out += "  \"datasets\": [";
-  for (size_t i = 0; i < datasets_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += JsonString(datasets_[i]);
-  }
-  out += "],\n";
-  out += "  \"config\": {";
-  for (size_t i = 0; i < config_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += JsonString(config_[i].first) + ": " + config_[i].second;
-  }
-  out += "},\n";
-  out += "  \"phases\": [";
-  for (size_t i = 0; i < phases_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "{\"name\": " + JsonString(phases_[i].name) +
-           ", \"seconds\": " + JsonNumber(phases_[i].seconds) +
-           ", \"status\": " + (phases_[i].failed ? "\"failed\"" : "\"ok\"");
-    if (phases_[i].failed) {
-      out += ", \"error\": " + JsonString(phases_[i].error);
-    }
-    out += "}";
-  }
-  out += "],\n";
+  out += "  \"datasets\": " +
+         obs::ToJson(JsonValue::Array(std::move(datasets))) + ",\n";
+  out += "  \"config\": " + obs::ToJson(JsonValue::Object(config_)) + ",\n";
+  out += "  \"phases\": " + obs::ToJson(JsonValue::Array(std::move(phases))) +
+         ",\n";
   out += "  \"total_seconds\": " + JsonNumber(TotalSeconds());
+  if (!results_.empty()) AppendSection(&out, "results", results_);
   if (!trace_file_.empty()) {
     out += ",\n  \"trace_file\": " + JsonString(trace_file_);
   }
   if (MetricsEnabled()) {
     Metrics& metrics = Metrics::Instance();
-    out += ",\n  \"counters\": {";
-    bool first = true;
-    for (const auto& entry : metrics.Counters()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\n    " + JsonString(entry.first) + ": " +
-             std::to_string(entry.second->Value());
+    JsonValue::Members counters, gauges, histograms;
+    for (const auto& [name, counter] : metrics.Counters()) {
+      counters.emplace_back(
+          name, JsonValue::Number(static_cast<double>(counter->Value())));
     }
-    out += first ? "}" : "\n  }";
-    out += ",\n  \"gauges\": {";
-    first = true;
-    for (const auto& entry : metrics.Gauges()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\n    " + JsonString(entry.first) + ": " +
-             JsonNumber(entry.second->Value());
+    for (const auto& [name, gauge] : metrics.Gauges()) {
+      gauges.emplace_back(name, JsonValue::Number(gauge->Value()));
     }
-    out += first ? "}" : "\n  }";
-    out += ",\n  \"histograms\": {";
-    first = true;
-    for (const auto& entry : metrics.Histograms()) {
-      if (!first) out += ", ";
-      first = false;
-      out += "\n    " + JsonString(entry.first) + ": ";
-      AppendHistogramJson(&out, *entry.second);
+    for (const auto& [name, histogram] : metrics.Histograms()) {
+      histograms.emplace_back(name, HistogramJson(*histogram));
     }
-    out += first ? "}" : "\n  }";
+    AppendSection(&out, "counters", counters);
+    AppendSection(&out, "gauges", gauges);
+    AppendSection(&out, "histograms", histograms);
   }
   out += "\n}\n";
   return out;

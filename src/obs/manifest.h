@@ -4,25 +4,28 @@
 // count, dataset ids, flag values), how long each phase took, and — when
 // RLBENCH_METRICS is on — a snapshot of every registered counter, gauge,
 // and histogram. The result is written beside the printed table as
-// `bench_results/<name>.manifest.json` so downstream tooling
+// `bench_results/<name>.manifest.json` (or the bench's committed
+// `bench_results/BENCH_*.json` summary) so downstream tooling
 // (tools/validate_manifest.py, plotting scripts, CI) can consume runs
 // without scraping stdout.
 //
-// Manifest schema (schema_version 2):
+// Manifest schema (schema_version 3):
 //   {
-//     "schema_version": 2,
+//     "schema_version": 3,
 //     "bench": "<name>",
 //     "git": "<git describe --always --dirty, or 'unknown'>",
+//     "build_type": "<CMAKE_BUILD_TYPE of the build, e.g. Release>",
 //     "threads": N, "hardware_concurrency": N,
 //     "peak_rss_bytes": N,           // process high-water RSS; 0 = unknown
 //     "seed": N,                     // only when set
 //     "datasets": ["Ds1", ...],
-//     "config": {"flag": "value", ...},
+//     "config": {"flag": "value", ...},    // run inputs
 //     "phases": [{"name": "...", "seconds": S,
 //                 "status": "ok" | "failed",
 //                 "error": "..."},   // only when failed
 //                ...],
 //     "total_seconds": S,
+//     "results": {"key": <any JSON>, ...}, // measured outcomes; only when set
 //     "trace_file": "path",          // only when tracing
 //     "counters": {"name": N, ...},          // only with RLBENCH_METRICS
 //     "gauges": {"name": V, ...},
@@ -32,7 +35,9 @@
 //
 // schema_version 2 added the per-phase "status"/"error" fields, which let
 // a bench record a failed dataset (graceful degradation) while the rest of
-// the run continues.
+// the run continues. schema_version 3 added "build_type" and "results":
+// a bench's measured outcomes live beside the setup that produced them,
+// so a committed bench_results/BENCH_*.json summary is a full manifest.
 #ifndef RLBENCH_SRC_OBS_MANIFEST_H_
 #define RLBENCH_SRC_OBS_MANIFEST_H_
 
@@ -43,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace rlbench::obs {
@@ -72,6 +78,9 @@ class RunManifest {
   void AddConfig(const std::string& key, const std::string& value);
   void AddConfig(const std::string& key, double value);
   void AddConfig(const std::string& key, int64_t value);
+
+  /// Records one measured outcome under "results" (key order kept).
+  void AddResult(const std::string& key, JsonValue value);
 
   /// Phases nest (stack discipline); serialised in begin order. Each open
   /// phase also holds a matching trace span, so manifests and traces tell
@@ -123,7 +132,8 @@ class RunManifest {
   bool has_seed_ = false;
   std::string trace_file_;
   std::vector<std::string> datasets_;
-  std::vector<std::pair<std::string, std::string>> config_;  // pre-serialised
+  JsonValue::Members config_;
+  JsonValue::Members results_;
   std::vector<Phase> phases_;
   std::vector<size_t> phase_stack_;  // indices into phases_
   std::vector<std::chrono::steady_clock::time_point> phase_starts_;

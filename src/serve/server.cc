@@ -39,8 +39,8 @@ Result<uint32_t> ToIndex(double value) {
 Result<std::vector<data::LabeledPair>> ParsePairs(const JsonValue& request) {
   std::vector<data::LabeledPair> pairs;
   if (request.GetString("op") == "match_pair") {
-    RLBENCH_ASSIGN_OR_RETURN(double left, request.RequireNumber("left"));
-    RLBENCH_ASSIGN_OR_RETURN(double right, request.RequireNumber("right"));
+    RLBENCH_ASSIGN_OR_RETURN(double left, RequireNumber(request, "left"));
+    RLBENCH_ASSIGN_OR_RETURN(double right, RequireNumber(request, "right"));
     data::LabeledPair pair;
     RLBENCH_ASSIGN_OR_RETURN(pair.left, ToIndex(left));
     RLBENCH_ASSIGN_OR_RETURN(pair.right, ToIndex(right));
@@ -48,7 +48,7 @@ Result<std::vector<data::LabeledPair>> ParsePairs(const JsonValue& request) {
     return pairs;
   }
   RLBENCH_ASSIGN_OR_RETURN(const JsonValue* array,
-                           request.RequireArray("pairs"));
+                           RequireArray(request, "pairs"));
   pairs.reserve(array->AsArray().size());
   for (const JsonValue& item : array->AsArray()) {
     if (!item.is_array() || item.AsArray().size() != 2) {
@@ -56,9 +56,15 @@ Result<std::vector<data::LabeledPair>> ParsePairs(const JsonValue& request) {
           "wire: each pair must be a [left, right] array");
     }
     data::LabeledPair pair;
-    RLBENCH_ASSIGN_OR_RETURN(pair.left, ToIndex(item.AsArray()[0].AsNumber()));
-    RLBENCH_ASSIGN_OR_RETURN(pair.right,
-                             ToIndex(item.AsArray()[1].AsNumber()));
+    const JsonValue& left = item.AsArray()[0];
+    const JsonValue& right = item.AsArray()[1];
+    // AsNumber() reads a string, bool or null as 0.0; only a number is an
+    // index.
+    if (!left.is_number() || !right.is_number()) {
+      return Status::InvalidArgument("wire: record index must be a uint32");
+    }
+    RLBENCH_ASSIGN_OR_RETURN(pair.left, ToIndex(left.AsNumber()));
+    RLBENCH_ASSIGN_OR_RETURN(pair.right, ToIndex(right.AsNumber()));
     pairs.push_back(pair);
   }
   return pairs;
@@ -272,7 +278,7 @@ std::string MatchServer::HandleRequest(const std::string& payload) {
       return ErrorResponse(Status::FailedPrecondition(
           "serve: no model repository configured"));
     }
-    auto matcher = request.RequireString("matcher");
+    auto matcher = RequireString(request, "matcher");
     if (!matcher.ok()) return ErrorResponse(matcher.status());
     double version = request.GetNumber("version", 0.0);
     auto snapshot = version > 0.0
@@ -293,7 +299,7 @@ std::string MatchServer::HandleRequest(const std::string& payload) {
       return ErrorResponse(Status::FailedPrecondition(
           "serve: no model repository configured"));
     }
-    auto matcher = request.RequireString("matcher");
+    auto matcher = RequireString(request, "matcher");
     if (!matcher.ok()) return ErrorResponse(matcher.status());
     double version = request.GetNumber("version", 0.0);
     auto snapshot = version > 0.0

@@ -4,9 +4,9 @@
 // length. Requests carry an "op" field (ping, match_pair, match_batch,
 // assess, stats, reload, shutdown); responses carry "ok" plus either the
 // op's result fields or {"code", "error"} mapping a Status back to the
-// client. This header owns the parsing side — a small immutable JSON DOM
-// (obs/json.h is emission-only) — and the pure framing helpers; all socket
-// IO lives in net.h.
+// client. This header holds the pure framing helpers and the Status-typed
+// entry points over obs/json.h's parser and DOM; all socket IO lives in
+// net.h.
 #ifndef RLBENCH_SRC_SERVE_WIRE_H_
 #define RLBENCH_SRC_SERVE_WIRE_H_
 
@@ -14,10 +14,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "common/status.h"
+#include "obs/json.h"
 
 namespace rlbench::serve {
 
@@ -54,69 +53,22 @@ class FrameDecoder {
   std::string buffer_;
 };
 
-/// \brief One parsed JSON value; immutable after parse.
-///
-/// Accessors are total: a kind mismatch yields the type's empty value
-/// (false / 0.0 / "" / no elements) rather than trapping, because wire
-/// bytes are untrusted. Callers that need strictness check kind() or use
-/// the Require* helpers below.
-class JsonValue {
- public:
-  enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  JsonValue() = default;
-
-  Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
-  bool is_bool() const { return kind_ == Kind::kBool; }
-  bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
-  bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
-
-  bool AsBool() const { return is_bool() && bool_; }
-  double AsNumber() const { return is_number() ? number_ : 0.0; }
-  const std::string& AsString() const { return string_; }
-  const std::vector<JsonValue>& AsArray() const { return array_; }
-  const std::vector<std::pair<std::string, JsonValue>>& AsObject() const {
-    return object_;
-  }
-
-  /// First value under `key` (objects preserve insertion order), or null
-  /// when absent / not an object.
-  const JsonValue* Find(const std::string& key) const;
-
-  /// Field accessors with defaults for optional request fields.
-  std::string GetString(const std::string& key,
-                        std::string fallback = "") const;
-  double GetNumber(const std::string& key, double fallback = 0.0) const;
-  bool GetBool(const std::string& key, bool fallback = false) const;
-
-  /// Strict accessors for required fields: InvalidArgument when the key is
-  /// missing or the value has the wrong type.
-  [[nodiscard]] Result<std::string> RequireString(const std::string& key) const;
-  Result<double> RequireNumber(const std::string& key) const;
-  [[nodiscard]] Result<const JsonValue*> RequireArray(const std::string& key) const;
-
-  static JsonValue Null() { return JsonValue(); }
-  static JsonValue Bool(bool b);
-  static JsonValue Number(double n);
-  static JsonValue String(std::string s);
-  static JsonValue Array(std::vector<JsonValue> items);
-  static JsonValue Object(std::vector<std::pair<std::string, JsonValue>> items);
-
- private:
-  Kind kind_ = Kind::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::vector<std::pair<std::string, JsonValue>> object_;
-};
+/// Requests and responses parse into obs/json.h's DOM, the repo's one
+/// JSON value type; serve code names it serve::JsonValue.
+using obs::JsonValue;
 
 /// Parse one complete JSON value (surrounding whitespace allowed, trailing
-/// bytes rejected). Recursive descent with a nesting cap of 64.
+/// bytes rejected); obs::ParseJson's error becomes InvalidArgument.
 [[nodiscard]] Result<JsonValue> ParseJson(std::string_view text);
+
+/// Strict accessors for required request fields: InvalidArgument when the
+/// key is missing or the value has the wrong type.
+[[nodiscard]] Result<std::string> RequireString(const JsonValue& object,
+                                                const std::string& key);
+[[nodiscard]] Result<double> RequireNumber(const JsonValue& object,
+                                           const std::string& key);
+[[nodiscard]] Result<const JsonValue*> RequireArray(const JsonValue& object,
+                                                    const std::string& key);
 
 }  // namespace rlbench::serve
 

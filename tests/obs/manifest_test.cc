@@ -1,4 +1,4 @@
-// Run-manifest tests: schema round-trip through the syntax validator,
+// Run-manifest tests: schema round-trip through the JSON parser,
 // escaping, phase accounting, failure status, the Finalize() freeze, and
 // the metrics-section gate.
 #include <gtest/gtest.h>
@@ -29,8 +29,8 @@ TEST(ManifestTest, ToJsonIsSyntaxValidWithAllSections) {
   manifest.Finalize();
 
   std::string json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"bench\": \"unit_bench\""), std::string::npos);
   EXPECT_NE(json.find("\"threads\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"hardware_concurrency\": 8"), std::string::npos);
@@ -52,7 +52,7 @@ TEST(ManifestTest, ToJsonIsSyntaxValidWithAllSections) {
 TEST(ManifestTest, SeedAndTraceFileAreOptional) {
   RunManifest manifest("unit_bench_min");
   std::string json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
   EXPECT_EQ(json.find("\"seed\""), std::string::npos);
   EXPECT_EQ(json.find("\"trace_file\""), std::string::npos);
   RunManifest traced("unit_bench_traced");
@@ -66,7 +66,7 @@ TEST(ManifestTest, EscapesHostileStrings) {
   manifest.AddDataset("quote\"and\\slash");
   manifest.AddConfig("note", std::string("line1\nline2\ttab"));
   std::string json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
   EXPECT_NE(json.find("unit\\\"bench\\nname"), std::string::npos);
   EXPECT_NE(json.find("quote\\\"and\\\\slash"), std::string::npos);
   EXPECT_NE(json.find("line1\\nline2\\ttab"), std::string::npos);
@@ -89,7 +89,7 @@ TEST(ManifestTest, UnbalancedEndPhaseIsIgnored) {
   manifest.BeginPhase("only");
   manifest.EndPhase();
   manifest.EndPhase();
-  EXPECT_TRUE(JsonSyntaxValid(manifest.ToJson()));
+  EXPECT_TRUE(ParseJson(manifest.ToJson()).has_value());
 }
 
 TEST(ManifestTest, MetricsSectionFollowsTheGate) {
@@ -98,7 +98,7 @@ TEST(ManifestTest, MetricsSectionFollowsTheGate) {
   Metrics::Instance().GetCounter("manifest_test/marker").Add(7);
   RunManifest manifest("unit_bench_metrics");
   std::string with_metrics = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(with_metrics)) << with_metrics;
+  EXPECT_TRUE(ParseJson(with_metrics).has_value()) << with_metrics;
   EXPECT_NE(with_metrics.find("\"counters\""), std::string::npos);
   EXPECT_NE(with_metrics.find("\"manifest_test/marker\": 7"),
             std::string::npos);
@@ -106,7 +106,7 @@ TEST(ManifestTest, MetricsSectionFollowsTheGate) {
 
   Metrics::SetEnabled(false);
   std::string without_metrics = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(without_metrics));
+  EXPECT_TRUE(ParseJson(without_metrics).has_value());
   EXPECT_EQ(without_metrics.find("\"counters\""), std::string::npos);
 }
 
@@ -115,11 +115,11 @@ TEST(ManifestTest, PeakRssBytesIsAlwaysSerialised) {
   // required, so it must appear even when never set.
   RunManifest manifest("unit_bench_rss");
   std::string json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
   EXPECT_NE(json.find("\"peak_rss_bytes\": 0"), std::string::npos);
   manifest.set_peak_rss_bytes(123456789);
   json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
   EXPECT_NE(json.find("\"peak_rss_bytes\": 123456789"), std::string::npos);
 }
 
@@ -128,7 +128,7 @@ TEST(ManifestTest, PhasesCarryOkStatusByDefault) {
   manifest.BeginPhase("clean");
   manifest.EndPhase();
   std::string json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_EQ(json.find("\"status\": \"failed\""), std::string::npos);
   EXPECT_EQ(json.find("\"error\""), std::string::npos);
@@ -144,7 +144,7 @@ TEST(ManifestTest, FailPhaseMarksInnermostOpenPhase) {
   manifest.EndPhase();
   EXPECT_TRUE(manifest.HasFailedPhase());
   std::string json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
   // The inner phase failed with its error recorded; the outer stayed ok.
   size_t failed_at = json.find("\"status\": \"failed\"");
   ASSERT_NE(failed_at, std::string::npos);
@@ -162,7 +162,7 @@ TEST(ManifestTest, FailPhaseWithoutOpenPhaseIsIgnored) {
   RunManifest manifest("unit_bench_fail_noop");
   manifest.FailPhase("nothing open");  // must not crash
   EXPECT_FALSE(manifest.HasFailedPhase());
-  EXPECT_TRUE(JsonSyntaxValid(manifest.ToJson()));
+  EXPECT_TRUE(ParseJson(manifest.ToJson()).has_value());
 }
 
 TEST(ManifestTest, AddCompletedPhaseRecordsFailures) {
@@ -172,12 +172,51 @@ TEST(ManifestTest, AddCompletedPhaseRecordsFailures) {
                              "NotFound: unknown dataset id Dn2");
   EXPECT_TRUE(manifest.HasFailedPhase());
   std::string json = manifest.ToJson();
-  EXPECT_TRUE(JsonSyntaxValid(json)) << json;
+  EXPECT_TRUE(ParseJson(json).has_value()) << json;
   EXPECT_NE(json.find("\"name\": \"dataset/Dn1\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos);
   EXPECT_NE(json.find("\"error\": \"NotFound: unknown dataset id Dn2\""),
             std::string::npos);
+}
+
+TEST(ManifestTest, ResultsParseBackInOrder) {
+  RunManifest manifest("unit_bench_results");
+  manifest.AddConfig("scale", 0.5);
+  manifest.AddResult("speedup", JsonValue::Number(2.5));
+  manifest.AddResult(
+      "kernels",
+      JsonValue::Array({JsonValue::Object(
+          {{"name", JsonValue::String("jaccard")},
+           {"ops", JsonValue::Number(1000000)}})}));
+  manifest.AddResult("rolled_back", JsonValue::Bool(true));
+  std::string json = manifest.ToJson();
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.has_value()) << json;
+  EXPECT_EQ(parsed->GetNumber("schema_version"), 3.0);
+  EXPECT_TRUE(parsed->Find("build_type") != nullptr &&
+              parsed->Find("build_type")->is_string());
+  const JsonValue* results = parsed->Find("results");
+  ASSERT_NE(results, nullptr);
+  ASSERT_TRUE(results->is_object());
+  ASSERT_EQ(results->AsObject().size(), 3u);
+  EXPECT_EQ(results->AsObject()[0].first, "speedup");
+  EXPECT_EQ(results->GetNumber("speedup"), 2.5);
+  const JsonValue* kernels = results->Find("kernels");
+  ASSERT_NE(kernels, nullptr);
+  ASSERT_EQ(kernels->AsArray().size(), 1u);
+  EXPECT_EQ(kernels->AsArray()[0].GetString("name"), "jaccard");
+  EXPECT_EQ(kernels->AsArray()[0].GetNumber("ops"), 1000000.0);
+  EXPECT_TRUE(results->GetBool("rolled_back"));
+  // Inputs stay in config; results never leak into it.
+  EXPECT_EQ(parsed->Find("config")->Find("speedup"), nullptr);
+}
+
+TEST(ManifestTest, ResultsBlockIsOmittedWhenEmpty) {
+  RunManifest manifest("unit_bench_no_results");
+  auto parsed = ParseJson(manifest.ToJson());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->Find("results"), nullptr);
 }
 
 }  // namespace

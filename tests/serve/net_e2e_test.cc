@@ -164,6 +164,14 @@ TEST(NetE2eTest, MalformedTrafficGetsErrorResponsesNotCrashes) {
     EXPECT_EQ(bad_op.status().code(), StatusCode::kInvalidArgument);
     auto bad_pairs = client->Call("{\"op\":\"match_batch\",\"pairs\":[[1]]}");
     EXPECT_EQ(bad_pairs.status().code(), StatusCode::kInvalidArgument);
+    // Pair elements must be JSON numbers: a string, null or bool is not
+    // read as record 0.
+    for (const char* element : {"\"a\"", "null", "true"}) {
+      auto typed = client->Call(std::string("{\"op\":\"match_batch\",") +
+                                "\"pairs\":[[" + element + ",1]]}");
+      EXPECT_EQ(typed.status().code(), StatusCode::kInvalidArgument)
+          << element;
+    }
     // The connection (and server) survive all of it.
     EXPECT_TRUE(client->Ping().ok());
   }

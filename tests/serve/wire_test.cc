@@ -1,9 +1,9 @@
-// Framing + JSON DOM parser of the serve wire protocol.
+// Framing and the Status-typed JSON entry points of the serve wire
+// protocol (the parser itself is tested in tests/obs/json_test.cc).
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "obs/json.h"
 #include "serve/wire.h"
 
 namespace rlbench::serve {
@@ -48,71 +48,37 @@ TEST(FrameTest, OversizedPayloadRejectedOnBothSides) {
   EXPECT_FALSE(decoder.Next().ok());
 }
 
-TEST(JsonParseTest, Scalars) {
-  EXPECT_TRUE(ParseJson("null")->is_null());
-  EXPECT_TRUE(ParseJson("true")->AsBool());
-  EXPECT_FALSE(ParseJson("false")->AsBool());
-  EXPECT_DOUBLE_EQ(ParseJson("42")->AsNumber(), 42.0);
-  EXPECT_DOUBLE_EQ(ParseJson("-0.5e2")->AsNumber(), -50.0);
-  EXPECT_EQ(ParseJson("\"hi\"")->AsString(), "hi");
+TEST(WireJsonTest, ParseErrorsBecomeInvalidArgument) {
+  auto parsed = ParseJson(R"({"op":"ping"})");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->GetString("op"), "ping");
+  auto bad = ParseJson("{\"a\" 1}");
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.status().message(), "wire: expected ':' at byte 5");
+  EXPECT_EQ(ParseJson("{} x").status().message(),
+            "wire: trailing bytes after JSON value");
 }
 
-TEST(JsonParseTest, ObjectOrderAndLookups) {
+TEST(WireJsonTest, RequireAccessorsCheckPresenceAndKind) {
   auto parsed = ParseJson(
       R"({"op":"match_batch","pairs":[[1,2],[3,4]],"deadline_ms":1.5})");
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->GetString("op"), "match_batch");
-  EXPECT_DOUBLE_EQ(parsed->GetNumber("deadline_ms"), 1.5);
-  EXPECT_DOUBLE_EQ(parsed->GetNumber("missing", -1.0), -1.0);
-  auto array = parsed->RequireArray("pairs");
+  auto array = RequireArray(*parsed, "pairs");
   ASSERT_TRUE(array.ok());
   ASSERT_EQ((*array)->AsArray().size(), 2u);
   EXPECT_DOUBLE_EQ((*array)->AsArray()[1].AsArray()[0].AsNumber(), 3.0);
-  EXPECT_EQ(parsed->RequireString("nope").status().code(),
+  auto op = RequireString(*parsed, "op");
+  ASSERT_TRUE(op.ok());
+  EXPECT_EQ(*op, "match_batch");
+  auto deadline = RequireNumber(*parsed, "deadline_ms");
+  ASSERT_TRUE(deadline.ok());
+  EXPECT_DOUBLE_EQ(*deadline, 1.5);
+  EXPECT_EQ(RequireString(*parsed, "nope").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(parsed->RequireNumber("op").status().code(),
+  EXPECT_EQ(RequireNumber(*parsed, "op").status().code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(JsonParseTest, StringEscapes) {
-  auto parsed = ParseJson(R"("a\"b\\c\/d\n\tAé")");
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->AsString(), "a\"b\\c/d\n\tA\xC3\xA9");
-  // Surrogate pair -> one 4-byte UTF-8 code point.
-  EXPECT_EQ(ParseJson(R"("😀")")->AsString(), "\xF0\x9F\x98\x80");
-  // Lone surrogate degrades to U+FFFD, not invalid UTF-8.
-  EXPECT_EQ(ParseJson(R"("\ud83dx")")->AsString(), "\xEF\xBF\xBDx");
-}
-
-TEST(JsonParseTest, RejectsMalformedInput) {
-  for (const char* bad :
-       {"", "{", "[1,", "{\"a\":}", "tru", "1.2.3", "\"unterminated",
-        "\"ctrl\x01\"", "{\"a\":1}x", "[1] []", "nan", "{'a':1}"}) {
-    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
-  }
-}
-
-TEST(JsonParseTest, NestingCapHolds) {
-  std::string deep(200, '[');
-  deep += std::string(200, ']');
-  EXPECT_FALSE(ParseJson(deep).ok());
-  std::string fine(30, '[');
-  fine += std::string(30, ']');
-  EXPECT_TRUE(ParseJson(fine).ok());
-}
-
-TEST(JsonParseTest, ParsesWhatObsEmits) {
-  // The server builds responses with obs::JsonString / JsonNumber; the
-  // parser must read them back exactly.
-  std::string tricky = "quote\" slash\\ ctrl\x01 text";
-  auto parsed = ParseJson(obs::JsonString(tricky));
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->AsString(), tricky);
-
-  double value = 0.1234567890123456789;
-  auto number = ParseJson(obs::JsonNumber(value));
-  ASSERT_TRUE(number.ok());
-  EXPECT_EQ(number->AsNumber(), value);  // %.17g round-trips bit-exactly
+  EXPECT_EQ(RequireArray(*parsed, "op").status().message(),
+            "wire: missing array field \"op\"");
 }
 
 }  // namespace

@@ -7,14 +7,16 @@ Two modes:
       Validate already-written manifests against the schema documented in
       src/obs/manifest.h. When a manifest names a trace_file, the trace is
       validated too (path resolved relative to the manifest's directory,
-      then as given). Manifests carrying drift_* config keys (drift-enabled
+      then as given). Manifests carrying drift_* result keys (drift-enabled
       runs, bench/micro_drift) additionally get their window size,
-      controller state, and measure ranges checked.
+      controller state, and measure ranges checked. The committed
+      bench_results/BENCH_*.json summaries are manifests too; the
+      `bench_results_validate` ctest runs this mode over all of them.
 
   validate_manifest.py --run <bench_binary> [bench args...]
       Run a bench binary in a scratch directory with RLBENCH_METRICS=1 and
-      RLBENCH_TRACE set, then validate every manifest it wrote plus the
-      trace. This is what the `obs_manifest_validate` ctest and the obs
+      RLBENCH_TRACE set, then validate every manifest it wrote (including
+      a BENCH_*.json summary) plus the trace. This is what the `obs_manifest_validate` ctest and the obs
       stage of scripts/check.sh execute.
 
 Exit status: 0 when everything validates, 1 with one "path: message" per
@@ -30,7 +32,7 @@ import subprocess
 import sys
 import tempfile
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def fail(errors, path, message):
@@ -62,10 +64,10 @@ def validate_histogram_summary(errors, path, name, summary):
                                f"number (got {value!r})")
 
 
-# Drift-monitor manifests (bench/micro_drift, drift-enabled serve runs)
-# publish their window state through config keys. Config values arrive as
-# JSON numbers (obs::Manifest::AddConfig(key, double)), so integral keys
-# are checked as whole-valued reals rather than ints.
+# Drift-monitor manifests (bench/micro_drift) record the window size as a
+# config input and the controller's outcome as results keys. Values
+# arrive as JSON numbers, so integral keys are checked as whole-valued
+# reals rather than ints.
 DRIFT_COUNT_KEYS = ("drift_windows", "drift_windows_to_trigger",
                     "drift_triggers", "drift_transitions",
                     "drift_swap_recovery_requests")
@@ -74,27 +76,32 @@ DRIFT_UNIT_KEYS = ("drift_best_linear_f1", "drift_complexity_avg",
 DRIFT_STATES = ("stable", "watch", "triggered")
 
 
-def validate_drift_config(errors, path, config):
-    drift_keys = [key for key in config if key.startswith("drift_")]
+def validate_drift(errors, path, config, results):
+    drift_keys = [key for key in list(config) + list(results)
+                  if key.startswith("drift_")]
     if not drift_keys:
         return
     # A manifest that reports anything about drift must pin down the
-    # window size, the controller's final state, and how often it moved.
-    for key in ("drift_window_pairs", "drift_state", "drift_transitions"):
-        if key not in config:
-            fail(errors, path, f"drift config present ({sorted(drift_keys)}) "
-                               f"but required key '{key}' is missing")
-    state = config.get("drift_state")
+    # window size (an input), the controller's final state, and how often
+    # it moved (outcomes).
+    for key, section, block in (("drift_window_pairs", "config", config),
+                                ("drift_state", "results", results),
+                                ("drift_transitions", "results", results)):
+        if key not in block:
+            fail(errors, path, f"drift keys present ({sorted(drift_keys)}) "
+                               f"but required {section} key '{key}' is "
+                               f"missing")
+    window = config.get("drift_window_pairs")
+    state = results.get("drift_state")
     if state is not None and state not in DRIFT_STATES:
         fail(errors, path, f"drift_state {state!r} not in {DRIFT_STATES}")
-    window = config.get("drift_window_pairs")
     if window is not None:
         if isinstance(window, bool) or not isinstance(window, numbers.Real) \
                 or window != int(window) or window <= 0:
             fail(errors, path, f"drift_window_pairs must be a positive "
                                f"integer (got {window!r})")
     for key in DRIFT_COUNT_KEYS:
-        value = config.get(key)
+        value = results.get(key)
         if value is None:
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -102,7 +109,7 @@ def validate_drift_config(errors, path, config):
             fail(errors, path, f"'{key}' must be a non-negative integer "
                                f"(got {value!r})")
     for key in DRIFT_UNIT_KEYS:
-        value = config.get(key)
+        value = results.get(key)
         if value is None:
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -112,7 +119,7 @@ def validate_drift_config(errors, path, config):
     # the overhead ratio only has to be a non-negative number.
     for key, low in (("drift_nlb", -1.0), ("drift_sampling_overhead_ratio",
                                            0.0)):
-        value = config.get(key)
+        value = results.get(key)
         if value is None:
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real) \
@@ -134,6 +141,7 @@ def validate_manifest(errors, path, manifest):
     if bench == "":
         fail(errors, path, "bench name is empty")
     expect_type(errors, path, manifest, "git", str)
+    expect_type(errors, path, manifest, "build_type", str)
     for key in ("threads", "hardware_concurrency", "peak_rss_bytes"):
         value = expect_type(errors, path, manifest, key, int)
         if value is not None and value < 0:
@@ -147,8 +155,10 @@ def validate_manifest(errors, path, manifest):
                 fail(errors, path, f"dataset id {entry!r} is not a string")
 
     config = expect_type(errors, path, manifest, "config", dict)
+    results = expect_type(errors, path, manifest, "results", dict,
+                          required=False)
     if config is not None:
-        validate_drift_config(errors, path, config)
+        validate_drift(errors, path, config, results or {})
 
     phases = expect_type(errors, path, manifest, "phases", list)
     if phases is not None:
@@ -281,8 +291,9 @@ def run_and_validate(errors, command):
             fail(errors, binary.name,
                  f"bench exited {result.returncode}: {result.stderr[-500:]}")
             return
-        manifests = sorted(
-            pathlib.Path(scratch).glob("bench_results/*.manifest.json"))
+        results_dir = pathlib.Path(scratch) / "bench_results"
+        manifests = sorted(list(results_dir.glob("*.manifest.json")) +
+                           list(results_dir.glob("BENCH_*.json")))
         if not manifests:
             fail(errors, binary.name, "bench wrote no manifest under "
                                       "bench_results/")
